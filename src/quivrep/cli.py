@@ -32,6 +32,13 @@ def _read(path: str) -> str:
         raise QuivrepError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise QuivrepError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_quiver(path: str):
     return parse_quiver(_read(path))
 
@@ -134,18 +141,18 @@ def _cmd_family(args) -> int:
     print(f"tits(total) = {tits_form(fam.total_dim, bq)}")
     print(f"expected_dim(total) = {expected_dim(fam.total_dim, bq)}")
     if args.emit_quiver:
-        Path(args.emit_quiver).write_text(serialize_quiver(bq))
+        _write(args.emit_quiver, serialize_quiver(bq))
         print(f"wrote quiver file: {args.emit_quiver}")
     if args.emit_h1:
         label, path = args.emit_h1
-        Path(path).write_text(serialize_rep(fam.rep_h1(label)))
+        _write(path, serialize_rep(fam.rep_h1(label)))
         print(f"wrote h1 representation ({label}): {path}")
     if args.emit_h2:
         label, path = args.emit_h2
-        Path(path).write_text(serialize_rep(fam.rep_h2(label)))
+        _write(path, serialize_rep(fam.rep_h2(label)))
         print(f"wrote h2 representation ({label}): {path}")
     if args.emit_simple:
-        Path(args.emit_simple).write_text(serialize_rep(fam.simple_at_b()))
+        _write(args.emit_simple, serialize_rep(fam.simple_at_b()))
         print(f"wrote simple-at-b representation: {args.emit_simple}")
     return 0
 
@@ -167,12 +174,12 @@ def _cmd_paper_verify(args) -> int:
         if exc.report is not None:
             sys.stdout.write(exc.report.to_text())
             if args.out:
-                Path(args.out).write_text(exc.report.to_kv())
+                _write(args.out, exc.report.to_kv())
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(report.to_text())
     if args.out:
-        Path(args.out).write_text(report.to_kv())
+        _write(args.out, report.to_kv())
     return 0
 
 

@@ -224,10 +224,6 @@ def _normalize_label(label, arrow_names, side: str):
     raise InvalidLabel(f"unsupported label {label!r}")
 
 
-def label_text(label) -> str:
-    return str(label)
-
-
 # -- grid verification -----------------------------------------------------
 
 
@@ -415,14 +411,14 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
         for iv, v in enumerate(v_labels):
             rep_v = fam.rep_h2(v)
             m = direct_sum(rep_u, rep_v)
-            pair = f"(u={label_text(u)}, v={label_text(v)})"
+            pair = f"(u={u}, v={v})"
             if not m.is_variety_point(bq):
                 report.failures.append(f"{pair}: direct sum is not a variety point")
                 decomposition_bad.append(pair)
                 continue
             stratum = constrained_cocycles(probe, m, bq)
             row = GridRow(
-                u=label_text(u), v=label_text(v),
+                u=str(u), v=str(v),
                 hom_probe=stratum.hom_to_probe,
                 z_h1h1=cocycle_space(rep_u, rep_u, bq).dim,
                 z_h2h2=cocycle_space(rep_v, rep_v, bq).dim,

@@ -1,10 +1,18 @@
 """Exact linear algebra over the rationals.
 
 All computations in this package reduce to ranks and kernels of small
-matrices with `fractions.Fraction` entries, so a plain dense row-echelon
-implementation is enough.  Matrices are immutable; zero-by-n and n-by-zero
-shapes are first-class citizens because representations routinely carry
-them at unsupported vertices.
+matrices with `fractions.Fraction` entries.  One elimination core,
+`_echelon`, serves them all.  It scales each row to integers by the lcm
+of its denominators and eliminates with exact Python ints, in
+fraction-free row operations; each new row is divided by the gcd of its
+entries, which this core uses in place of Bareiss's exact division by
+the previous pivot.  `rank` stops after forward elimination and builds no
+Fraction; `rref` divides only the final pivot rows back into Fractions.
+The reduced row echelon form is unique, so this gives exactly the values
+of a Fraction Gauss-Jordan elimination, without its per-entry gcds.
+Matrices are immutable; zero-by-n and n-by-zero shapes are first-class
+citizens because representations routinely carry them at unsupported
+vertices.
 
 Randomness: every random draw goes through :func:`seeded_rng`, which seeds
 the standard Mersenne Twister (`random.Random`) with the SHA-512 digest of
@@ -18,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch
@@ -177,27 +186,63 @@ def kron(a: MatrixQ, b: MatrixQ) -> MatrixQ:
 # -- echelon form and derived quantities -------------------------------
 
 
-def _echelon(table):
-    """In-place fractions Gauss-Jordan; returns list of pivot column indices."""
-    nrows = len(table)
-    ncols = len(table[0]) if nrows else 0
+def _integer_rows(data) -> list:
+    """The nonzero rows of `data`, each scaled by the lcm of its denominators.
+
+    Scaling a row by a nonzero constant changes neither the row space nor
+    the reduced row echelon form, so elimination can run on Python ints.
+    """
+    rows = []
+    for row in data:
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row] if den != 1 \
+            else [x.numerator for x in row]
+        if any(ints):
+            rows.append(ints)
+    return rows
+
+
+def _echelon(rows: list, ncols: int, reduce: bool) -> list:
+    """Fraction-free elimination of integer rows in place; returns the pivot columns.
+
+    Row r ends with its pivot in column pivots[r].  Each step clears the
+    pivot column from the rows below it, and with `reduce` also from the
+    rows above it (Gauss-Jordan, for `rref`).  To clear entry a against
+    pivot p, a row becomes row - (a/p)*pivot_row when p divides a, and
+    otherwise (p/g)*row - (a/g)*pivot_row with g = gcd(p, a), divided by
+    the gcd of its entries.  The pivot of least magnitude is taken: in the
+    0/+-1 systems of the family grids it is almost always +-1.
+    """
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
+        best, size = -1, 0
         for i in range(r, nrows):
-            if table[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+            a = rows[i][c]
+            if a and (best < 0 or abs(a) < size):
+                best, size = i, abs(a)
+                if size == 1:
+                    break
+        if best < 0:
             continue
-        table[r], table[pivot_row] = table[pivot_row], table[r]
-        inv = 1 / table[r][c]
-        table[r] = [x * inv for x in table[r]]
-        for i in range(nrows):
-            if i != r and table[i][c]:
-                f = table[i][c]
-                table[i] = [x - f * y for x, y in zip(table[i], table[r])]
+        rows[r], rows[best] = rows[best], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            row = rows[i]
+            a = row[c]
+            if not a or i == r:
+                continue
+            if a % p == 0:
+                f = a // p
+                rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
+                continue
+            g = gcd(a, p)
+            s, f = p // g, a // g
+            row = [s * x - f * y for x, y in zip(row, pivot_row)]
+            g = gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -205,16 +250,26 @@ def _echelon(table):
     return pivots
 
 
+_ZERO = Fraction(0)
+
+
 def rref(m: MatrixQ):
-    """Reduced row echelon form together with the pivot column list."""
-    table = [list(row) for row in m.data]
-    pivots = _echelon(table)
-    return MatrixQ(m.rows, m.cols, tuple(tuple(row) for row in table)), pivots
+    """Reduced row echelon form together with the pivot column list.
+
+    The elimination runs on integers; only the final pivot rows, divided by
+    their pivots, become Fractions.
+    """
+    rows = _integer_rows(m.data)
+    pivots = _echelon(rows, m.cols, reduce=True)
+    out = [tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
+           for row, c in zip(rows, pivots)]
+    out.extend([(_ZERO,) * m.cols] * (m.rows - len(pivots)))
+    return MatrixQ(m.rows, m.cols, tuple(out)), pivots
 
 
 def rank(m: MatrixQ) -> int:
-    table = [list(row) for row in m.data]
-    return len(_echelon(table))
+    """Number of pivots after forward elimination on integers."""
+    return len(_echelon(_integer_rows(m.data), m.cols, reduce=False))
 
 
 def kernel_basis(m: MatrixQ):

@@ -220,3 +220,19 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariants", "--quiver", "q.quiver"])  # missing --rep
     assert exc.value.code == 2
+
+
+def test_family_unwritable_emit_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.quiver"
+    code = main(["family", "--p", "1", "--q", "1", "--r", "1", "--s", "1", "--t", "1",
+                 "--emit-quiver", str(target)])
+    assert code == 2
+    assert f"error: cannot write {target}" in capsys.readouterr().err
+
+
+def test_paper_verify_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.kv"
+    code = main(["paper-verify", "--p", "1", "--q", "1", "--r", "1", "--s", "1", "--t", "1",
+                 "--out", str(target)])
+    assert code == 2
+    assert f"error: cannot write {target}" in capsys.readouterr().err

@@ -1,0 +1,156 @@
+"""Differential tests of the integer elimination core against Fraction Gauss-Jordan.
+
+`_oracle_echelon` below is the Fraction Gauss-Jordan elimination that
+`quivrep.linalg` used before it moved to fraction-free integer
+elimination, kept verbatim.  It lives here as an oracle only.  The
+reduced row echelon form is unique, so `rank`, `rref` and everything built
+on `rref` (`kernel_basis`, `image_basis`, `solve_right`, `inverse`) must
+return identical values under both cores.  The derived functions are run
+once as they are and once with `linalg.rref` swapped for the oracle's.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quivrep import linalg
+from quivrep.errors import ShapeMismatch
+from quivrep.linalg import (MatrixQ, image_basis, inverse, kernel_basis, rank, rref,
+                            solve_right)
+
+
+def _oracle_echelon(table):
+    """In-place fractions Gauss-Jordan; returns list of pivot column indices."""
+    nrows = len(table)
+    ncols = len(table[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if table[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        table[r], table[pivot_row] = table[pivot_row], table[r]
+        inv = 1 / table[r][c]
+        table[r] = [x * inv for x in table[r]]
+        for i in range(nrows):
+            if i != r and table[i][c]:
+                f = table[i][c]
+                table[i] = [x - f * y for x, y in zip(table[i], table[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def oracle_rref(m: MatrixQ):
+    table = [list(row) for row in m.data]
+    pivots = _oracle_echelon(table)
+    return MatrixQ(m.rows, m.cols, tuple(tuple(row) for row in table)), pivots
+
+
+def oracle_rank(m: MatrixQ) -> int:
+    table = [list(row) for row in m.data]
+    return len(_oracle_echelon(table))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the exception type it raised."""
+    try:
+        return fn(*args)
+    except ShapeMismatch as exc:
+        return type(exc)
+
+
+def both(fn, *args):
+    """(value with the integer core, value with the oracle's rref)."""
+    new = outcome(fn, *args)
+    with mock.patch.object(linalg, "rref", oracle_rref):
+        old = outcome(fn, *args)
+    return new, old
+
+
+# Small integers, non-integer rationals, huge numerators and denominators,
+# and zeros often enough for zero rows and rank deficiency to be common.
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.integers(-10 ** 40, 10 ** 40).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 12)),
+)
+
+
+def _table(draw, rows, cols):
+    return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@st.composite
+def matrices(draw, square=False, max_dim=6):
+    """Any shape from 0x0 up, including 0xn and nx0; dense or of low rank,
+    with some rows zeroed."""
+    rows = draw(st.integers(0, max_dim))
+    cols = rows if square else draw(st.integers(0, max_dim))
+    if draw(st.booleans()) and rows and cols:
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        left = MatrixQ(rows, k, tuple(map(tuple, _table(draw, rows, k))))
+        right = MatrixQ(k, cols, tuple(map(tuple, _table(draw, k, cols))))
+        table = [list(row) for row in (left @ right).data]
+    else:
+        table = _table(draw, rows, cols)
+    for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows)):
+        table[i] = [Fraction(0)] * cols
+    return MatrixQ(rows, cols, tuple(map(tuple, table)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(matrices())
+def test_rank_and_rref_match_oracle(m):
+    assert rank(m) == oracle_rank(m)
+    reduced, pivots = rref(m)
+    want, want_pivots = oracle_rref(m)
+    assert pivots == want_pivots
+    assert reduced == want
+    assert all(isinstance(x, Fraction) for x in reduced.entries())
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(matrices(), st.data())
+def test_derived_functions_match_oracle(m, data):
+    new, old = both(kernel_basis, m)
+    assert new == old
+    new, old = both(image_basis, m)
+    assert new == old
+    rhs = tuple(data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows)))
+    new, old = both(solve_right, m, rhs)
+    assert new == old
+    if m.rows:  # a right-hand side in the column space has a solution
+        column = tuple(row[0] for row in m.data) if m.cols else (Fraction(0),) * m.rows
+        new, old = both(solve_right, m, column)
+        assert new == old and new is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(matrices(square=True))
+def test_inverse_matches_oracle(m):
+    new, old = both(inverse, m)
+    assert new == old
+
+
+def test_edge_shapes_match_oracle():
+    shapes = [MatrixQ(0, 4, ()), MatrixQ(3, 0, ((),) * 3), MatrixQ(0, 0, ()),
+              MatrixQ.zeros(3, 4), MatrixQ.identity(3),
+              MatrixQ.from_rows([[10 ** 50 + 1, Fraction(1, 10 ** 30)],
+                                 [Fraction(-7, 3), 10 ** 49]])]
+    for m in shapes:
+        assert rank(m) == oracle_rank(m)
+        assert rref(m) == oracle_rref(m)
+        for fn in (kernel_basis, image_basis, inverse):
+            new, old = both(fn, m)
+            assert new == old
