@@ -18,7 +18,7 @@ from .errors import (DecompositionMismatch, InequalityViolated, ParseError,
 from .family import Family, FamilyParams, verify_family
 from .geometry import (bisection_classify, classify_dimvector,
                        regularity_certificate)
-from .homology import end_dim, ext_report, iso_probable, orbit_dim
+from .homology import ext_report, iso_probable
 from .quiver import euler_form, expected_dim, is_triangular, tits_form
 from .rep import Representation
 from .textio import (parse_dimvec, parse_quiver, parse_rep, serialize_quiver,
@@ -86,9 +86,9 @@ def _cmd_invariants(args) -> int:
         ext2 = "unknown (pass --assume-gldim2)" if rep.ext2 is None else rep.ext2
         print(f"ext2(M,N) = {ext2}")
     else:
-        print(f"end(M) = {end_dim(m)}")
-        print(f"orbit_dim(M) = {orbit_dim(m)}")
         rep = ext_report(m, m, bq, assert_gldim2=args.assume_gldim2)
+        print(f"end(M) = {rep.hom}")
+        print(f"orbit_dim(M) = {m.dim.glsum() - rep.hom}")
         print(f"z(M,M) = {rep.z_dim}")
         print(f"b(M,M) = {rep.b_dim}")
         print(f"ext1(M,M) = {rep.ext1}")

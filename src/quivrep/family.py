@@ -216,7 +216,7 @@ def _normalize_label(label, arrow_names, side: str):
             return label
         try:
             return Fraction(label)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise InvalidLabel(
                 f"label {label!r} is neither a rational nor an {side} arrow") from None
     if isinstance(label, (int, Fraction)):
@@ -401,8 +401,10 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
         expected_total=expected_dim(fam.total_dim, bq),
     )
     probe = fam.simple_at_b()
-    u_labels = [Fraction(x) for x in u_scalars] + list(fam.ab_arrow_names)
-    v_labels = [Fraction(x) for x in v_scalars] + list(fam.bc_arrow_names)
+    u_labels = [_normalize_label(x, fam.ab_arrow_names, "a-side arm")
+                for x in u_scalars] + list(fam.ab_arrow_names)
+    v_labels = [_normalize_label(x, fam.bc_arrow_names, "c-side arm")
+                for x in v_scalars] + list(fam.bc_arrow_names)
     bound = report.expected_total
     decomposition_bad = []
     inequality_bad = []

@@ -28,8 +28,8 @@ from .linalg import in_span, independent_subset
 from .quiver import (BoundQuiver, DimVector, euler_form, expected_dim,
                      is_triangular, support, tits_form)
 from .rep import CocycleElement, Representation, middle_term
-from .homology import (cocycle_space, coboundary_space, end_dim,
-                       ext1_dim, hom_dim, orbit_dim)
+from .homology import (cocycle_space, coboundary_space, ext_report, hom_dim,
+                       orbit_dim)
 
 __all__ = [
     "euler_form", "tits_form", "expected_dim", "orbit_dim",
@@ -100,28 +100,25 @@ def regularity_certificate(m: Representation, bq: BoundQuiver,
     global-dimension flag, Ext^2(M, M) = 0 by the Euler formula, and
     dim Z(M, M) equal to the naive count.  Without the hypotheses the
     verdict is NotApplicable; with them but Ext^2 != 0 (or a mismatching
-    cocycle dimension) only the bound is reported.
+    cocycle dimension) only the bound is reported.  All homological
+    numbers come from one :func:`ext_report` of (M, M).
     """
     if not m.is_variety_point(bq):
         raise NotAVarietyPoint("certificate requested at a non-variety point")
     triangular = is_triangular(bq.quiver)
-    end = end_dim(m)
-    ext1 = ext1_dim(m, m, bq)
-    z_self = cocycle_space(m, m, bq).dim
+    rep = ext_report(m, m, bq, assert_gldim2)
     expected = expected_dim(m.dim, bq)
-    ext2 = None
-    if assert_gldim2:
-        ext2 = tits_form(m.dim, bq) - end + ext1
     verdict = "NotApplicable"
     if triangular and assert_gldim2:
-        if ext2 == 0 and z_self == expected:
+        if rep.ext2 == 0 and rep.z_dim == expected:
             verdict = "CertifiedRegular"
         else:
             verdict = "BoundOnly"
     return RegularityCertificate(
         dim_vector=m.dim, triangular=triangular, gldim2_asserted=assert_gldim2,
-        end_dim=end, ext1_self=ext1, ext2_self=ext2, z_self_dim=z_self,
-        expected=expected, orbit_dim=orbit_dim(m), verdict=verdict)
+        end_dim=rep.hom, ext1_self=rep.ext1, ext2_self=rep.ext2,
+        z_self_dim=rep.z_dim, expected=expected,
+        orbit_dim=m.dim.glsum() - rep.hom, verdict=verdict)
 
 
 # -- constrained cocycles (rank-drop strata) ------------------------------
@@ -217,12 +214,10 @@ def ext_stratum_tangent_bound(u: Representation, v: Representation,
     """
     if not assert_gldim2:
         raise QuivrepError("tangent bound requires the global-dimension-two assertion")
-    hom_vu = hom_dim(v, u)
-    if hom_vu != 0:
-        raise HomNotZero(f"tangent bound needs hom(V, U) = 0, got {hom_vu}")
-    ext1 = ext1_dim(v, u, bq)
-    ext2 = euler_form(v.dim, u.dim, bq) - hom_vu + ext1
-    return expected_dim(u.dim, bq) + expected_dim(v.dim, bq) - ext2
+    rep = ext_report(v, u, bq, assert_gldim2=True)
+    if rep.hom != 0:
+        raise HomNotZero(f"tangent bound needs hom(V, U) = 0, got {rep.hom}")
+    return expected_dim(u.dim, bq) + expected_dim(v.dim, bq) - rep.ext2
 
 
 def direct_sum_stratum_dim(dim_u1: int, dim_u2: int, d1: DimVector, d2: DimVector,
@@ -244,8 +239,9 @@ def bisection_classify(t: Representation, m: Representation, bq: BoundQuiver) ->
     "InT" when ext^1(T, M) = 0 only, "InF" when hom(T, M) = 0 only,
     "Both" for the zero module, "Neither" otherwise.
     """
-    in_t = ext1_dim(t, m, bq) == 0
-    in_f = hom_dim(t, m) == 0
+    rep = ext_report(t, m, bq)
+    in_t = rep.ext1 == 0
+    in_f = rep.hom == 0
     if in_t and in_f:
         return "Both"
     if in_t:

@@ -2,15 +2,16 @@
 
 All spaces are cut out by linear systems over the rationals:
 
-* ``Hom(M, N)`` is the kernel of the intertwiner system
-  ``N_a f_source = f_target M_a`` over all arrows a.
+* ``Hom(V, U)`` and ``B(V, U)`` are the kernel and the image of one
+  system, :func:`intertwiner_matrix`: it sends a vertex family h to the
+  arrow family ``U_a h_source - h_target V_a``.  Its kernel is Hom(V, U)
+  and its image the coboundaries, so hom = cols - rank and dim B = rank.
 * ``Z(V, U)`` (cocycles describing extensions ``0 -> U -> W -> V -> 0``)
-  is the kernel of the twisted relation system.
-* ``B(V, U)`` (coboundaries) is the image of the map sending a vertex
-  family h to the arrow family ``U_a h_source - h_target V_a``; its kernel
-  is exactly Hom(V, U), so dim B = sum_x dimU_x dimV_x - hom(V, U).
+  is the kernel of the twisted relation system :func:`cocycle_system`.
 * ``ext1 = dim Z - dim B``; over an algebra of global dimension at most
   two, ``ext2 = <dim V, dim U> - hom + ext1`` by the Euler identity.
+  :func:`ext_report` is the one place that evaluates these formulas; the
+  other dimension helpers read its result.
 
 The dimensions computed here are field-independent: the systems have
 rational coefficients, so ranks over the rationals agree with ranks over
@@ -22,34 +23,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeExt2, QuivrepError, ShapeMismatch
+from .errors import NegativeExt2, QuivrepError
 from .linalg import (MatrixQ, image_basis, is_invertible, kernel_basis, kron,
-                     seeded_rng, vstack)
+                     rank, seeded_rng, vstack)
 from .quiver import BoundQuiver, DimVector, euler_form
-from .rep import CocycleElement, Representation, cocycle_ambient_dim
-
-
-def _vertex_layout(quiver, row_dims: DimVector, col_dims: DimVector):
-    """Offsets for stacking one row_dims[x] x col_dims[x] unknown per vertex."""
-    offsets = {}
-    pos = 0
-    for v in quiver.vertices:
-        offsets[v] = pos
-        pos += row_dims[v] * col_dims[v]
-    return offsets, pos
+from .rep import (CocycleElement, Representation, cocycle_ambient_dim,
+                  twisted_factors)
 
 
 def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
-    """Matrix of the system whose kernel is Hom(M, N).
+    """Matrix of f |-> (N_a f_source - f_target M_a) over all arrows a.
 
     Unknowns are the stacked row-major entries of f_x (shape n_x x m_x) in
-    vertex order; one block of rows per arrow encodes
-    ``N_a f_source - f_target M_a = 0``.
+    vertex order, and there is one block of rows per arrow.  The kernel is
+    Hom(M, N); the image, laid out like a cocycle family, is B(M, N).
     """
     if m.quiver != n.quiver:
         raise QuivrepError("representations on different quivers")
     quiver = m.quiver
-    offsets, total = _vertex_layout(quiver, n.dim, m.dim)
+    offsets = {}
+    total = 0
+    for v in quiver.vertices:
+        offsets[v] = total
+        total += n.dim[v] * m.dim[v]
     row_blocks = []
     for arrow in quiver.arrows:
         s, t = arrow.source, arrow.target
@@ -105,7 +101,6 @@ def hom_basis(m: Representation, n: Representation) -> HomBasis:
 
 def hom_dim(m: Representation, n: Representation) -> int:
     system = intertwiner_matrix(m, n)
-    from .linalg import rank
     return system.cols - rank(system)
 
 
@@ -139,9 +134,10 @@ class CocycleBasis:
 def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> MatrixQ:
     """Matrix of the twisted relation system whose kernel is Z(V, U).
 
-    Unknowns are the stacked row-major entries of Z_a in arrow order; for
-    each relation term coeff * (a_1 ... a_m) and each position j the block
-    at a_j gains coeff * kron(U_{a_1}..U_{a_{j-1}}, (V_{a_{j+1}}..V_{a_m})^T).
+    Unknowns are the stacked row-major entries of Z_a in arrow order; each
+    slot (coeff, a_j, prefix, suffix) of :func:`rep.twisted_factors` adds
+    coeff * kron(prefix, suffix^T) to the block of a_j, since that is the
+    row-major form of Z_{a_j} |-> prefix Z_{a_j} suffix.
     """
     quiver = bq.quiver
     if u.quiver != quiver or v.quiver != quiver:
@@ -156,17 +152,9 @@ def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> Mat
     for rel in bq.relations:
         nrows = u.dim[rel.target] * v.dim[rel.source]
         block = [[Fraction(0)] * total for _ in range(nrows)]
-        for coeff, path in rel.terms:
-            names = path.arrow_names
-            for j, name in enumerate(names):
-                prefix = MatrixQ.identity(u.dim[path.target])
-                for pre in names[:j]:
-                    prefix = prefix @ u.matrix(pre)
-                suffix = MatrixQ.identity(v.dim[path.source])
-                for post in reversed(names[j + 1:]):
-                    suffix = v.matrix(post) @ suffix
-                contrib = kron(prefix, suffix.transpose()).scale(coeff)
-                _add_block(block, contrib, offsets[name])
+        for coeff, name, prefix, suffix in twisted_factors(rel, u, v):
+            contrib = kron(prefix, suffix.transpose()).scale(coeff)
+            _add_block(block, contrib, offsets[name])
         row_blocks.append(MatrixQ(nrows, total, tuple(tuple(r) for r in block)))
     if not row_blocks:
         return MatrixQ.zeros(0, total)
@@ -185,56 +173,24 @@ def cocycle_space(v: Representation, u: Representation, bq: BoundQuiver) -> Cocy
 
 
 def coboundary_matrix(v: Representation, u: Representation) -> MatrixQ:
-    """Matrix of h |-> (U_a h_source - h_target V_a), vertex unknowns h_x."""
-    quiver = u.quiver
-    offsets, total = _vertex_layout(quiver, u.dim, v.dim)
-    row_blocks = []
-    for arrow in quiver.arrows:
-        s, t = arrow.source, arrow.target
-        nrows = u.dim[t] * v.dim[s]
-        block = [[Fraction(0)] * total for _ in range(nrows)]
-        left = kron(u.matrix(arrow.name), MatrixQ.identity(v.dim[s]))
-        _add_block(block, left, offsets[s])
-        right = kron(MatrixQ.identity(u.dim[t]), v.matrix(arrow.name).transpose())
-        _add_block(block, right.scale(-1), offsets[t])
-        row_blocks.append(MatrixQ(nrows, total, tuple(tuple(r) for r in block)))
-    if not row_blocks:
-        return MatrixQ.zeros(0, total)
-    return vstack(row_blocks)
+    """Matrix of h |-> (U_a h_source - h_target V_a): the intertwiner system.
+
+    Kept as a one-line delegate: ``perfbench/tracing.py`` resolves
+    ``quivrep.homology.coboundary_matrix`` by name, and without it
+    ``perfbench/run.py --trace 1`` fails with AttributeError.
+    """
+    return intertwiner_matrix(v, u)
 
 
 def coboundary_space(v: Representation, u: Representation) -> CocycleBasis:
     """Basis of B(V, U), the coboundaries inside the cocycle ambient."""
     quiver = u.quiver
-    delta = coboundary_matrix(v, u)
+    delta = intertwiner_matrix(v, u)
     elements = tuple(
         CocycleElement.from_flat(quiver, u.dim, v.dim, vec)
         for vec in image_basis(delta))
     return CocycleBasis(quiver, u.dim, v.dim, elements,
                         cocycle_ambient_dim(quiver, u.dim, v.dim))
-
-
-def ext1_dim(v: Representation, u: Representation, bq: BoundQuiver) -> int:
-    """dim Ext^1(V, U) = dim Z(V, U) - dim B(V, U)."""
-    return cocycle_space(v, u, bq).dim - coboundary_space(v, u).dim
-
-
-def ext2_dim_via_euler(m: Representation, n: Representation, bq: BoundQuiver,
-                       assert_gldim2: bool) -> int | None:
-    """dim Ext^2(M, N) from the Euler identity, if gldim <= 2 is asserted.
-
-    Returns None when the caller does not assert global dimension <= 2
-    (the identity then gives no information).  Raises NegativeExt2 when the
-    formula goes negative, which refutes the assertion.
-    """
-    if not assert_gldim2:
-        return None
-    value = euler_form(m.dim, n.dim, bq) - hom_dim(m, n) + ext1_dim(m, n, bq)
-    if value < 0:
-        raise NegativeExt2(
-            f"euler formula gives ext2 = {value} < 0; "
-            "the global dimension assumption is wrong for this algebra")
-    return value
 
 
 @dataclass(frozen=True)
@@ -257,9 +213,18 @@ class ExtReport:
 
 def ext_report(m: Representation, n: Representation, bq: BoundQuiver,
                assert_gldim2: bool = False) -> ExtReport:
-    hom = hom_dim(m, n)
-    z = cocycle_space(m, n, bq).dim
-    b = coboundary_space(m, n).dim
+    """Hom, Z, B, Ext^1, the Euler form and (if asserted) Ext^2 of (M, N).
+
+    One intertwiner system gives hom = cols - rank and dim B = rank; one
+    cocycle system gives dim Z = cols - rank.  With ``assert_gldim2`` the
+    Euler identity gives ext2 = <dim M, dim N> - hom + ext1, and a negative
+    value raises NegativeExt2 because it refutes the assertion.
+    """
+    delta = intertwiner_matrix(m, n)
+    b = rank(delta)
+    hom = delta.cols - b
+    cocycles = cocycle_system(m, n, bq)
+    z = cocycles.cols - rank(cocycles)
     ext1 = z - b
     euler = euler_form(m.dim, n.dim, bq)
     ext2 = None
@@ -270,6 +235,24 @@ def ext_report(m: Representation, n: Representation, bq: BoundQuiver,
                 f"euler formula gives ext2 = {ext2} < 0; "
                 "the global dimension assumption is wrong for this algebra")
     return ExtReport(hom, z, b, ext1, euler, ext2)
+
+
+def ext1_dim(v: Representation, u: Representation, bq: BoundQuiver) -> int:
+    """dim Ext^1(V, U) = dim Z(V, U) - dim B(V, U)."""
+    return ext_report(v, u, bq).ext1
+
+
+def ext2_dim_via_euler(m: Representation, n: Representation, bq: BoundQuiver,
+                       assert_gldim2: bool) -> int | None:
+    """dim Ext^2(M, N) from the Euler identity, if gldim <= 2 is asserted.
+
+    Returns None when the caller does not assert global dimension <= 2
+    (the identity then gives no information).  Raises NegativeExt2 when the
+    formula goes negative, which refutes the assertion.
+    """
+    if not assert_gldim2:
+        return None
+    return ext_report(m, n, bq, assert_gldim2=True).ext2
 
 
 # -- isomorphism testing -------------------------------------------------
@@ -289,10 +272,11 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
         raise QuivrepError("representations on different quivers")
     if m.dim != n.dim:
         return "NotIsomorphic"
-    if end_dim(m) != end_dim(n):
+    end = end_dim(m)
+    if end != end_dim(n):
         return "NotIsomorphic"
     basis = hom_basis(m, n)
-    if basis.dim != end_dim(m):
+    if basis.dim != end:
         return "NotIsomorphic"
     rng = seeded_rng("iso", seed)
     quiver = m.quiver

@@ -301,12 +301,6 @@ def image_basis(m: MatrixQ):
     return out
 
 
-def row_span_rank(vectors: Sequence[Sequence[Fraction]], length: int) -> int:
-    if not vectors:
-        return 0
-    return rank(MatrixQ.from_rows(vectors)) if length else 0
-
-
 def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
     """Whether v lies in the linear span of the given row vectors."""
     if all(x == 0 for x in v):

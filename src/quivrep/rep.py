@@ -160,11 +160,6 @@ class CocycleElement:
                     f"arrow {arrow.name}: cocycle shape {m.shape}, expected {want}")
         return CocycleElement(quiver, sub_dim, quot_dim, mats)
 
-    @staticmethod
-    def zero(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector) -> "CocycleElement":
-        mats = [MatrixQ.zeros(sub_dim[a.target], quot_dim[a.source]) for a in quiver.arrows]
-        return CocycleElement(quiver, sub_dim, quot_dim, tuple(mats))
-
     def matrix(self, arrow_name: str) -> MatrixQ:
         return self.matrices[self.quiver.arrow_index[arrow_name]]
 
@@ -207,26 +202,39 @@ def cocycle_ambient_dim(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector)
     return sum(sub_dim[a.target] * quot_dim[a.source] for a in quiver.arrows)
 
 
+def twisted_factors(rel: Relation, u: Representation, v: Representation):
+    """Yield (coeff, arrow name, prefix, suffix) for every slot of a relation.
+
+    For each term coeff * (a_1 ... a_m) and each position j, the slot is
+    a_j with prefix U_{a_1} ... U_{a_{j-1}} and suffix V_{a_{j+1}} ... V_{a_m}
+    (identities when empty): the factors before Z come from U, those after
+    from V.
+    """
+    for coeff, path in rel.terms:
+        names = path.arrow_names
+        for j, name in enumerate(names):
+            prefix = MatrixQ.identity(u.dim[path.target])
+            for pre in names[:j]:
+                prefix = prefix @ u.matrix(pre)
+            suffix = MatrixQ.identity(v.dim[path.source])
+            for post in reversed(names[j + 1:]):
+                suffix = v.matrix(post) @ suffix
+            yield coeff, name, prefix, suffix
+
+
 def twisted_evaluate(z: CocycleElement, rel: Relation,
                      u: Representation, v: Representation) -> MatrixQ:
     """Evaluate a relation with one path factor replaced by Z.
 
-    For each term coeff * (a_1 ... a_m) and each position j, contributes
-    coeff * U_{a_1} ... U_{a_{j-1}} Z_{a_j} V_{a_{j+1}} ... V_{a_m}.
-    The result has shape dim(U)_target x dim(V)_source of the relation.
+    Sums coeff * prefix Z_{a_j} suffix over the slots of
+    :func:`twisted_factors`.  The result has shape
+    dim(U)_target x dim(V)_source of the relation.
     """
     if u.dim != z.sub_dim or v.dim != z.quot_dim:
         raise ShapeMismatch("cocycle dimensions do not match u, v")
     acc = MatrixQ.zeros(u.dim[rel.target], v.dim[rel.source])
-    for coeff, path in rel.terms:
-        names = path.arrow_names
-        for j in range(len(names)):
-            term = z.matrix(names[j])
-            for name in reversed(names[:j]):
-                term = u.matrix(name) @ term
-            for name in names[j + 1:]:
-                term = term @ v.matrix(name)
-            acc = acc + term.scale(coeff)
+    for coeff, name, prefix, suffix in twisted_factors(rel, u, v):
+        acc = acc + (prefix @ z.matrix(name) @ suffix).scale(coeff)
     return acc
 
 

@@ -148,12 +148,17 @@ def test_family_emits_parseable_files(tmp_path, capsys):
         assert m.is_variety_point(bq)
 
 
-def test_family_rejects_bad_label(tmp_path, capsys):
+@pytest.mark.parametrize("flag, label", [
+    pytest.param("--emit-h1", "1", id="excluded-scalar"),
+    pytest.param("--emit-h1", "1/0", id="h1-zero-denominator"),
+    pytest.param("--emit-h2", "1/0", id="h2-zero-denominator"),
+])
+def test_family_rejects_bad_label(tmp_path, capsys, flag, label):
     code = main(["family", "--p", "2", "--q", "2", "--r", "2",
                  "--s", "1", "--t", "1",
-                 "--emit-h1", "1", str(tmp_path / "h1.rep")])
+                 flag, label, str(tmp_path / "h.rep")])
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    assert "error: " in capsys.readouterr().err
 
 
 def test_paper_verify_pass(tmp_path, capsys):
@@ -185,14 +190,23 @@ def test_paper_verify_boundary_failure(tmp_path, capsys):
     assert "result = fail" in out_path.read_text()
 
 
-def test_paper_verify_custom_scalars(capsys):
+@pytest.mark.parametrize("u_scalars, v_scalars, want", [
+    pytest.param("2", "3", 0, id="valid"),
+    pytest.param("1/0", "3", 2, id="u-zero-denominator"),
+    pytest.param("2", "2,x", 2, id="v-not-rational"),
+])
+def test_paper_verify_custom_scalars(capsys, u_scalars, v_scalars, want):
     code = main(["paper-verify", "--p", "1", "--q", "1", "--r", "1",
                  "--s", "1", "--t", "1",
-                 "--u-scalars", "2", "--v-scalars", "3"])
-    assert code == 0
-    out = capsys.readouterr().out
-    # u side: 1 scalar + 3 arm arrows, v side: 1 scalar + 2 arm arrows
-    assert "rows: 12" in out
+                 "--u-scalars", u_scalars, "--v-scalars", v_scalars])
+    assert code == want
+    captured = capsys.readouterr()
+    if want == 0:
+        # u side: 1 scalar + 3 arm arrows, v side: 1 scalar + 2 arm arrows
+        assert "rows: 12" in captured.out
+    else:
+        assert "error: " in captured.err
+        assert captured.out == ""
 
 
 def test_iso_exit_codes(tmp_path, capsys):

@@ -23,6 +23,7 @@ from quivrep import (
     make_rep,
     orbit_dim,
     random_invertible,
+    regularity_certificate,
     simple_rep,
     twisted_evaluate,
 )
@@ -125,10 +126,24 @@ def test_ext_report_internal_consistency():
         bq = random_bound_quiver(rng)
         m, n = random_variety_pair(rng, bq)
         rep = ext_report(m, n, bq, assert_gldim2=True)
-        rep.check_internal()
+        assert rep.check_internal()
         assert rep.ext1 == rep.z_dim - rep.b_dim
         assert rep.ext2 == rep.euler - rep.hom + rep.ext1
         assert rep.ext2 >= 0
+        # the rank path agrees with the basis path
+        z_basis = cocycle_space(m, n, bq)
+        assert rep.hom == hom_basis(m, n).dim
+        assert rep.z_dim == z_basis.dim
+        assert rep.b_dim == coboundary_space(m, n).dim
+        # the system and the evaluation read the same twisted calculus
+        for el in z_basis.elements:
+            for rel in bq.relations:
+                assert twisted_evaluate(el, rel, n, m).is_zero()
+        cert = regularity_certificate(m, bq, True)
+        assert cert.end_dim == end_dim(m)
+        assert cert.orbit_dim == orbit_dim(m)
+        assert cert.ext1_self == ext1_dim(m, m, bq)
+        assert cert.z_self_dim == cocycle_space(m, m, bq).dim
 
 
 def test_iso_probable_verdicts():
