@@ -5,6 +5,13 @@ iso.  Exit codes: 0 on success (or a verified positive answer), 1 when a
 verification produced a negative/unproven answer, 2 on usage or parse
 errors.  Reports go to stdout, diagnostics to stderr; all output is
 deterministic for fixed inputs and seeds.
+
+Each handler imports what it runs from ``family``, ``geometry`` and
+``homology`` when it is called, so a process loads only the layers of its
+subcommand.  ``validate`` loads none of them, and ``euler`` loads
+``geometry`` only for ``--assume-tame-quasitilted``; ``invariants`` and
+``iso`` load ``homology``; ``certify`` and ``bisect`` load ``geometry``,
+which imports ``homology``; ``family`` and ``paper-verify`` load all three.
 """
 
 from __future__ import annotations
@@ -15,10 +22,6 @@ from pathlib import Path
 
 from .errors import (DecompositionMismatch, InequalityViolated, ParseError,
                      QuivrepError)
-from .family import Family, FamilyParams, verify_family
-from .geometry import (bisection_classify, classify_dimvector,
-                       regularity_certificate)
-from .homology import ext_report, iso_probable
 from .quiver import euler_form, expected_dim, is_triangular, tits_form
 from .rep import Representation
 from .textio import (parse_dimvec, parse_quiver, parse_rep, serialize_quiver,
@@ -68,6 +71,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .homology import ext_report
+
     bq = _load_quiver(args.quiver)
     m = _load_rep(args.rep, bq.quiver)
     print(f"quiver: {_quiver_summary(bq)}")
@@ -107,6 +112,8 @@ def _cmd_euler(args) -> int:
     print(f"glsum(d1) = {d1.glsum()}")
     print(f"expected_dim(d1) = {expected_dim(d1, bq)}")
     if args.assume_tame_quasitilted:
+        from .geometry import classify_dimvector
+
         verdict = classify_dimvector(d1, bq, assume_tame_quasitilted=True)
         print(f"classification(d1) = {verdict}")
     if args.dim2:
@@ -119,6 +126,8 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .geometry import regularity_certificate
+
     bq = _load_quiver(args.quiver)
     m = _load_rep(args.rep, bq.quiver)
     cert = regularity_certificate(m, bq, assert_gldim2=args.assume_gldim2)
@@ -128,6 +137,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .family import Family, FamilyParams
+
     fam = Family(FamilyParams(args.p, args.q, args.r, args.s, args.t))
     bq = fam.bound_quiver
     print(f"family {fam.params}: {_quiver_summary(bq)}")
@@ -162,6 +173,8 @@ def _parse_scalars(text: str):
 
 
 def _cmd_paper_verify(args) -> int:
+    from .family import FamilyParams, verify_family
+
     params = FamilyParams(args.p, args.q, args.r, args.s, args.t)
     kwargs = {"seed": args.seed}
     if args.u_scalars is not None:
@@ -184,6 +197,8 @@ def _cmd_paper_verify(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .homology import iso_probable
+
     bq = _load_quiver(args.quiver)
     m = _load_rep(args.rep, bq.quiver)
     n = _load_rep(args.rep2, bq.quiver)
@@ -194,6 +209,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_bisect(args) -> int:
+    from .geometry import bisection_classify
+
     bq = _load_quiver(args.quiver)
     t = _load_rep(args.rep, bq.quiver)
     m = _load_rep(args.rep2, bq.quiver)

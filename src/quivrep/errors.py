@@ -31,11 +31,13 @@ class NotACocycle(QuivrepError):
 
 
 class NegativeExt2(QuivrepError):
-    """The Euler-form formula for ext^2 returned a negative number.
+    """An ext^2 value came out negative; nothing in the package raises it.
 
-    Under the global-dimension-two assumption the value is a dimension and
-    must be nonnegative; a negative result means the assumption was wrong
-    for the given algebra.
+    The Euler-form value ``<dim M, dim N> - hom + ext1`` that
+    ``homology.ext_report`` reports as ext2 equals rows - rank of the
+    relation (cocycle) system, the dimension of its cokernel, which is
+    never negative.  It is Ext^2 when the global dimension is at most two.
+    The class stays in the public exception set.
     """
 
 

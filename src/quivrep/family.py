@@ -26,10 +26,10 @@ into its four predicted summands and respects the naive dimension bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from ._value import Value, _set
 from .errors import (DecompositionMismatch, InequalityViolated, InvalidLabel,
                      QuivrepError, WrongDimension)
 from .linalg import hstack, random_invertible, rank, seeded_rng, vstack
@@ -40,20 +40,20 @@ from .homology import cocycle_space, coboundary_space, hom_dim
 from .geometry import constrained_cocycles, direct_sum_stratum_dim
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Value):
     """Arm lengths (p, q, r) for the b-to-a side and (s, t) for c-to-b."""
 
-    p: int
-    q: int
-    r: int
-    s: int
-    t: int
+    __slots__ = _fields = ("p", "q", "r", "s", "t")
 
-    def __post_init__(self):
-        for name in ("p", "q", "r", "s", "t"):
-            if getattr(self, name) < 1:
+    def __init__(self, p: int, q: int, r: int, s: int, t: int):
+        for name, value in zip(self._fields, (p, q, r, s, t)):
+            if value < 1:
                 raise QuivrepError(f"arm length {name} must be at least 1")
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "t", t)
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r},{self.s},{self.t})"
@@ -227,20 +227,25 @@ def _normalize_label(label, arrow_names, side: str):
 # -- grid verification -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridRow:
-    u: str
-    v: str
-    hom_probe: int
-    z_h1h1: int
-    z_h2h2: int
-    z_cross: int
-    b_cross: int
-    direct: int
-    linear: bool
-    audit_ok: bool
-    hom_12: int
-    hom_21: int
+class GridRow(Value):
+    __slots__ = _fields = ("u", "v", "hom_probe", "z_h1h1", "z_h2h2", "z_cross", "b_cross",
+                           "direct", "linear", "audit_ok", "hom_12", "hom_21")
+
+    def __init__(self, u: str, v: str, hom_probe: int, z_h1h1: int, z_h2h2: int,
+                 z_cross: int, b_cross: int, direct: int, linear: bool, audit_ok: bool,
+                 hom_12: int, hom_21: int):
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "hom_probe", hom_probe)
+        _set(self, "z_h1h1", z_h1h1)
+        _set(self, "z_h2h2", z_h2h2)
+        _set(self, "z_cross", z_cross)
+        _set(self, "b_cross", b_cross)
+        _set(self, "direct", direct)
+        _set(self, "linear", linear)
+        _set(self, "audit_ok", audit_ok)
+        _set(self, "hom_12", hom_12)
+        _set(self, "hom_21", hom_21)
 
     @property
     def summand_total(self) -> int:
@@ -252,31 +257,49 @@ class GridRow:
         return "ok" if ok else "FAIL"
 
 
-@dataclass
-class FamilyReport:
-    """Everything the grid verification measured, ready to print."""
+class FamilyReport(Value):
+    """Everything the grid verification measured, ready to print.
 
-    params: FamilyParams
-    vertices: int
-    arrows: int
-    relations: int
-    admissible: bool
-    triangular: bool
-    h1: DimVector
-    h2: DimVector
-    total: DimVector
-    tits_h1: int
-    tits_h2: int
-    euler_h1_h2: int
-    euler_h2_h1: int
-    tits_total: int
-    glsum_total: int
-    expected_total: int
-    rows: list = field(default_factory=list)
-    min_hom_12: int = 0
-    min_hom_21: int = 0
-    stratum_dim: int = 0
-    failures: list = field(default_factory=list)
+    Mutable and unhashable: :func:`verify_family` fills in the rows, the
+    minima and the failures after construction.
+    """
+
+    __slots__ = _fields = (
+        "params", "vertices", "arrows", "relations", "admissible", "triangular",
+        "h1", "h2", "total", "tits_h1", "tits_h2", "euler_h1_h2", "euler_h2_h1",
+        "tits_total", "glsum_total", "expected_total", "rows", "min_hom_12",
+        "min_hom_21", "stratum_dim", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, params: FamilyParams, vertices: int, arrows: int, relations: int,
+                 admissible: bool, triangular: bool, h1: DimVector, h2: DimVector,
+                 total: DimVector, tits_h1: int, tits_h2: int, euler_h1_h2: int,
+                 euler_h2_h1: int, tits_total: int, glsum_total: int, expected_total: int,
+                 rows: list | None = None, min_hom_12: int = 0, min_hom_21: int = 0,
+                 stratum_dim: int = 0, failures: list | None = None):
+        self.params = params
+        self.vertices = vertices
+        self.arrows = arrows
+        self.relations = relations
+        self.admissible = admissible
+        self.triangular = triangular
+        self.h1 = h1
+        self.h2 = h2
+        self.total = total
+        self.tits_h1 = tits_h1
+        self.tits_h2 = tits_h2
+        self.euler_h1_h2 = euler_h1_h2
+        self.euler_h2_h1 = euler_h2_h1
+        self.tits_total = tits_total
+        self.glsum_total = glsum_total
+        self.expected_total = expected_total
+        self.rows = [] if rows is None else rows
+        self.min_hom_12 = min_hom_12
+        self.min_hom_21 = min_hom_21
+        self.stratum_dim = stratum_dim
+        self.failures = [] if failures is None else failures
 
     @property
     def all_ok(self) -> bool:

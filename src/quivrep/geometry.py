@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._value import Value, _set
 from .errors import HomNotZero, NotAVarietyPoint, QuivrepError
 from .linalg import in_span, independent_subset
 from .quiver import (BoundQuiver, DimVector, euler_form, expected_dim,
@@ -62,7 +63,11 @@ def classify_dimvector(d: DimVector, bq: BoundQuiver, assume_tame_quasitilted: b
 
 @dataclass(frozen=True)
 class RegularityCertificate:
-    """Outcome of the smooth-point check at one variety point."""
+    """Outcome of the smooth-point check at one variety point.
+
+    The one dataclass among the package's value types: callers may derive
+    altered certificates with ``dataclasses.replace``.
+    """
 
     dim_vector: DimVector
     triangular: bool
@@ -124,15 +129,19 @@ def regularity_certificate(m: Representation, bq: BoundQuiver,
 # -- constrained cocycles (rank-drop strata) ------------------------------
 
 
-@dataclass(frozen=True)
-class StratumReport:
+class StratumReport(Value):
     """Constrained cocycle space of N relative to a probe module."""
 
-    hom_to_probe: int      # hom(probe, N)
-    ambient_dim: int       # dim Z(N, N)
-    constrained_dim: int
-    linear: bool           # False when linearity probes failed
-    basis: tuple           # CocycleElement generators of the certified span
+    __slots__ = _fields = ("hom_to_probe", "ambient_dim", "constrained_dim", "linear",
+                           "basis")
+
+    def __init__(self, hom_to_probe: int, ambient_dim: int, constrained_dim: int,
+                 linear: bool, basis: tuple):
+        _set(self, "hom_to_probe", hom_to_probe)  # hom(probe, N)
+        _set(self, "ambient_dim", ambient_dim)    # dim Z(N, N)
+        _set(self, "constrained_dim", constrained_dim)
+        _set(self, "linear", linear)  # False when linearity probes failed
+        _set(self, "basis", basis)    # CocycleElement generators of the certified span
 
 
 def constrained_cocycles(probe: Representation, n: Representation,

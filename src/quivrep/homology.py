@@ -8,10 +8,11 @@ All spaces are cut out by linear systems over the rationals:
   and its image the coboundaries, so hom = cols - rank and dim B = rank.
 * ``Z(V, U)`` (cocycles describing extensions ``0 -> U -> W -> V -> 0``)
   is the kernel of the twisted relation system :func:`cocycle_system`.
-* ``ext1 = dim Z - dim B``; over an algebra of global dimension at most
-  two, ``ext2 = <dim V, dim U> - hom + ext1`` by the Euler identity.
-  :func:`ext_report` is the one place that evaluates these formulas; the
-  other dimension helpers read its result.
+* ``ext1 = dim Z - dim B``, and ``<dim V, dim U> - hom + ext1`` equals
+  rows - rank of the cocycle system, the dimension of its cokernel; over
+  an algebra of global dimension at most two that is ``ext2`` by the
+  Euler identity.  :func:`ext_report` is the one place that evaluates
+  these formulas; the other dimension helpers read its result.
 
 The dimensions computed here are field-independent: the systems have
 rational coefficients, so ranks over the rationals agree with ranks over
@@ -20,10 +21,10 @@ any extension field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeExt2, QuivrepError
+from ._value import Value, _set
+from .errors import QuivrepError
 from .linalg import (MatrixQ, image_basis, is_invertible, kernel_basis, kron,
                      rank, seeded_rng, vstack)
 from .quiver import BoundQuiver, DimVector, euler_form
@@ -70,13 +71,15 @@ def _add_block(rows, block: MatrixQ, col_offset: int):
                 row[col_offset + j] += brow[j]
 
 
-@dataclass(frozen=True)
-class HomBasis:
+class HomBasis(Value):
     """A basis of Hom(M, N): each element is one matrix per vertex."""
 
-    source: Representation
-    target: Representation
-    elements: tuple  # tuple of dicts vertex -> MatrixQ
+    __slots__ = _fields = ("source", "target", "elements")
+
+    def __init__(self, source: Representation, target: Representation, elements: tuple):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "elements", elements)  # tuple of dicts vertex -> MatrixQ
 
     @property
     def dim(self) -> int:
@@ -116,15 +119,18 @@ def orbit_dim(m: Representation) -> int:
 # -- cocycles and coboundaries ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CocycleBasis:
+class CocycleBasis(Value):
     """Basis of a subspace of the cocycle ambient for the pair (V, U)."""
 
-    quiver: object
-    sub_dim: DimVector   # dimension vector of U
-    quot_dim: DimVector  # dimension vector of V
-    elements: tuple      # tuple of CocycleElement
-    ambient_dim: int
+    __slots__ = _fields = ("quiver", "sub_dim", "quot_dim", "elements", "ambient_dim")
+
+    def __init__(self, quiver, sub_dim: DimVector, quot_dim: DimVector, elements: tuple,
+                 ambient_dim: int):
+        _set(self, "quiver", quiver)
+        _set(self, "sub_dim", sub_dim)    # dimension vector of U
+        _set(self, "quot_dim", quot_dim)  # dimension vector of V
+        _set(self, "elements", elements)  # tuple of CocycleElement
+        _set(self, "ambient_dim", ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -193,16 +199,19 @@ def coboundary_space(v: Representation, u: Representation) -> CocycleBasis:
                         cocycle_ambient_dim(quiver, u.dim, v.dim))
 
 
-@dataclass(frozen=True)
-class ExtReport:
+class ExtReport(Value):
     """Bundle of the homological invariants of an ordered pair (M, N)."""
 
-    hom: int
-    z_dim: int
-    b_dim: int
-    ext1: int
-    euler: int
-    ext2: int | None
+    __slots__ = _fields = ("hom", "z_dim", "b_dim", "ext1", "euler", "ext2")
+
+    def __init__(self, hom: int, z_dim: int, b_dim: int, ext1: int, euler: int,
+                 ext2: int | None):
+        _set(self, "hom", hom)
+        _set(self, "z_dim", z_dim)
+        _set(self, "b_dim", b_dim)
+        _set(self, "ext1", ext1)
+        _set(self, "euler", euler)
+        _set(self, "ext2", ext2)
 
     def check_internal(self) -> bool:
         ok = self.ext1 == self.z_dim - self.b_dim and self.ext1 >= 0
@@ -216,9 +225,12 @@ def ext_report(m: Representation, n: Representation, bq: BoundQuiver,
     """Hom, Z, B, Ext^1, the Euler form and (if asserted) Ext^2 of (M, N).
 
     One intertwiner system gives hom = cols - rank and dim B = rank; one
-    cocycle system gives dim Z = cols - rank.  With ``assert_gldim2`` the
-    Euler identity gives ext2 = <dim M, dim N> - hom + ext1, and a negative
-    value raises NegativeExt2 because it refutes the assertion.
+    cocycle system gives dim Z = cols - rank.  With ``assert_gldim2``,
+    ext2 = <dim M, dim N> - hom + ext1.  Expanding the Euler form shows
+    that this is rows - rank of the cocycle system, the dimension of its
+    cokernel, so it is never negative.  It is dim Ext^2(M, N) when the
+    algebra has global dimension at most two; the flag asserts that, and
+    nothing here checks it.
     """
     delta = intertwiner_matrix(m, n)
     b = rank(delta)
@@ -230,10 +242,6 @@ def ext_report(m: Representation, n: Representation, bq: BoundQuiver,
     ext2 = None
     if assert_gldim2:
         ext2 = euler - hom + ext1
-        if ext2 < 0:
-            raise NegativeExt2(
-                f"euler formula gives ext2 = {ext2} < 0; "
-                "the global dimension assumption is wrong for this algebra")
     return ExtReport(hom, z, b, ext1, euler, ext2)
 
 
@@ -246,9 +254,10 @@ def ext2_dim_via_euler(m: Representation, n: Representation, bq: BoundQuiver,
                        assert_gldim2: bool) -> int | None:
     """dim Ext^2(M, N) from the Euler identity, if gldim <= 2 is asserted.
 
-    Returns None when the caller does not assert global dimension <= 2
-    (the identity then gives no information).  Raises NegativeExt2 when the
-    formula goes negative, which refutes the assertion.
+    Returns None when the caller does not assert global dimension <= 2.
+    Otherwise returns the cokernel dimension of the relation system,
+    rows - rank of :func:`cocycle_system` (see :func:`ext_report`), which is
+    never negative; it is Ext^2 when gldim <= 2 holds.
     """
     if not assert_gldim2:
         return None

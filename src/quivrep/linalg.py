@@ -24,11 +24,11 @@ byte-reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
+from ._value import Value, _set
 from .errors import ShapeMismatch
 
 Q = Fraction
@@ -44,13 +44,16 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class MatrixQ:
+class MatrixQ(Value):
     """An immutable rows x cols matrix over the rationals."""
 
-    rows: int
-    cols: int
-    data: tuple  # tuple of row tuples, each entry a Fraction
+    __slots__ = _fields = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data: tuple):
+        # data: tuple of row tuples, each entry a Fraction
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
 
     # -- construction -------------------------------------------------
 

@@ -16,27 +16,34 @@ Conventions, used consistently everywhere:
 from __future__ import annotations
 
 import graphlib
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
 
+from ._value import Value, _set
 from .errors import MixedEndpoints, NonComposable, QuivrepError
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(Value):
+    __slots__ = _fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: str, target: str):
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """A finite quiver; loops and parallel arrows are allowed."""
+class Quiver(Value):
+    """A finite quiver; loops and parallel arrows are allowed.
 
-    vertices: tuple
-    arrows: tuple
+    No ``__slots__``: the cached indexes live in the instance ``__dict__``.
+    """
+
+    _fields = ("vertices", "arrows")
+
+    def __init__(self, vertices: tuple, arrows: tuple):
+        _set(self, "vertices", vertices)
+        _set(self, "arrows", arrows)
 
     @staticmethod
     def build(vertices: Sequence[str], arrows: Sequence) -> "Quiver":
@@ -78,13 +85,15 @@ class Quiver:
         return Path(self, (), vertex)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Value):
     """A composable word of arrows, or a trivial path at `base`."""
 
-    quiver: Quiver
-    arrow_names: tuple
-    base: str | None = None  # set exactly when the path is trivial
+    __slots__ = _fields = ("quiver", "arrow_names", "base")
+
+    def __init__(self, quiver: Quiver, arrow_names: tuple, base: str | None = None):
+        _set(self, "quiver", quiver)
+        _set(self, "arrow_names", arrow_names)
+        _set(self, "base", base)  # set exactly when the path is trivial
 
     @staticmethod
     def of(quiver: Quiver, arrow_names: Sequence[str]) -> "Path":
@@ -140,11 +149,13 @@ def compose_paths(p1: Path, p2: Path) -> Path:
     return Path(p1.quiver, p1.arrow_names + p2.arrow_names, None)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """A linear combination sum_i coeff_i * path_i with common endpoints."""
 
-    terms: tuple  # tuple of (Fraction, Path)
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        _set(self, "terms", terms)  # tuple of (Fraction, Path)
 
     @staticmethod
     def of(terms: Sequence) -> "Relation":
@@ -190,12 +201,14 @@ def relation_endpoints(rel: Relation) -> tuple:
     return (rel.source, rel.target)
 
 
-@dataclass(frozen=True)
-class BoundQuiver:
+class BoundQuiver(Value):
     """A quiver together with a finite set of relations on it."""
 
-    quiver: Quiver
-    relations: tuple
+    __slots__ = _fields = ("quiver", "relations")
+
+    def __init__(self, quiver: Quiver, relations: tuple):
+        _set(self, "quiver", quiver)
+        _set(self, "relations", relations)
 
     @staticmethod
     def of(quiver: Quiver, relations: Sequence[Relation]) -> "BoundQuiver":
@@ -211,12 +224,14 @@ class BoundQuiver:
         return all(rel.is_admissible for rel in self.relations)
 
 
-@dataclass(frozen=True)
-class DimVector:
+class DimVector(Value):
     """A nonnegative integer per vertex, stored in declaration order."""
 
-    quiver: Quiver
-    entries: tuple
+    __slots__ = _fields = ("quiver", "entries")
+
+    def __init__(self, quiver: Quiver, entries: tuple):
+        _set(self, "quiver", quiver)
+        _set(self, "entries", entries)
 
     @staticmethod
     def of(quiver: Quiver, values) -> "DimVector":
@@ -371,11 +386,13 @@ def full_subquiver(quiver: Quiver, vertex_subset) -> Quiver:
     return Quiver(verts, arrows)
 
 
-@dataclass(frozen=True)
-class SupportInfo:
-    subquiver: Quiver
-    is_sincere: bool
-    is_connected: bool
+class SupportInfo(Value):
+    __slots__ = _fields = ("subquiver", "is_sincere", "is_connected")
+
+    def __init__(self, subquiver: Quiver, is_sincere: bool, is_connected: bool):
+        _set(self, "subquiver", subquiver)
+        _set(self, "is_sincere", is_sincere)
+        _set(self, "is_connected", is_connected)
 
 
 def support(d: DimVector, quiver: Quiver) -> SupportInfo:

@@ -18,22 +18,24 @@ below V into a middle term W with arrow blocks [[U_a, Z_a], [0, V_a]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
+from ._value import Value, _set
 from .errors import NotACocycle, NotAVarietyPoint, QuivrepError, ShapeMismatch
 from .linalg import MatrixQ, block_matrix
 from .quiver import BoundQuiver, DimVector, Path, Quiver, Relation
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Value):
     """Matrices for every arrow, stored in arrow declaration order."""
 
-    quiver: Quiver
-    dim: DimVector
-    matrices: tuple  # one MatrixQ per arrow, aligned with quiver.arrows
+    __slots__ = _fields = ("quiver", "dim", "matrices")
+
+    def __init__(self, quiver: Quiver, dim: DimVector, matrices: tuple):
+        _set(self, "quiver", quiver)
+        _set(self, "dim", dim)
+        _set(self, "matrices", matrices)  # one MatrixQ per arrow, aligned with quiver.arrows
 
     @staticmethod
     def of(quiver: Quiver, dim: DimVector, matrices: Sequence[MatrixQ]) -> "Representation":
@@ -134,18 +136,21 @@ def conjugate(m: Representation, g: Mapping[str, MatrixQ]) -> Representation:
 # -- cocycles and middle terms ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CocycleElement:
+class CocycleElement(Value):
     """A per-arrow matrix family of shape dim(U)_target x dim(V)_source.
 
     `sub_dim` is the dimension vector of U (the submodule side of the
     extensions this element describes), `quot_dim` that of V.
     """
 
-    quiver: Quiver
-    sub_dim: DimVector
-    quot_dim: DimVector
-    matrices: tuple  # aligned with quiver.arrows
+    __slots__ = _fields = ("quiver", "sub_dim", "quot_dim", "matrices")
+
+    def __init__(self, quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector,
+                 matrices: tuple):
+        _set(self, "quiver", quiver)
+        _set(self, "sub_dim", sub_dim)
+        _set(self, "quot_dim", quot_dim)
+        _set(self, "matrices", matrices)  # aligned with quiver.arrows
 
     @staticmethod
     def of(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector,

@@ -23,11 +23,13 @@ from quivrep import (
     make_rep,
     orbit_dim,
     random_invertible,
+    rank,
     regularity_certificate,
     simple_rep,
     twisted_evaluate,
 )
 
+from quivrep.homology import cocycle_system
 from util import random_bound_quiver, random_variety_pair
 
 
@@ -118,6 +120,22 @@ def test_ext2_via_euler_needs_flag():
     assert ext2_dim_via_euler(s3, s1, bq, assert_gldim2=False) is None
     assert ext2_dim_via_euler(s3, s1, bq, assert_gldim2=True) == 1
     assert ext2_dim_via_euler(s1, s3, bq, assert_gldim2=True) == 0
+
+
+def test_ext2_is_cokernel_dim_of_relation_system():
+    # euler - hom + ext1 expands to rows - rank of the cocycle system, so the
+    # reported ext2 is a cokernel dimension on every pair and never negative.
+    rng = Random(61)
+    with_relations = 0
+    for _ in range(150):
+        bq = random_bound_quiver(rng)
+        m, n = random_variety_pair(rng, bq)
+        system = cocycle_system(m, n, bq)
+        ext2 = ext_report(m, n, bq, assert_gldim2=True).ext2
+        assert ext2 == system.rows - rank(system)
+        assert ext2_dim_via_euler(m, n, bq, assert_gldim2=True) == ext2
+        with_relations += system.rows > 0
+    assert with_relations >= 20
 
 
 def test_ext_report_internal_consistency():

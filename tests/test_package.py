@@ -31,3 +31,28 @@ def test_import_loads_no_submodule_and_every_export_resolves():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ok ")
+
+
+FOOTPRINT_CHILD = """
+import sys
+import quivrep.cli as cli
+code = cli.main(["validate", "--quiver", sys.argv[1]])
+absent = ["quivrep.family", "quivrep.geometry", "quivrep.homology",
+          "dataclasses", "inspect", "typing"]
+loaded = [name for name in absent if name in sys.modules]
+assert code == 0, code
+assert "quivrep.textio" in sys.modules
+assert loaded == [], loaded
+"""
+
+
+def test_validate_process_loads_only_its_layers(tmp_path):
+    # -S keeps site-packages (and what their .pth files import) out of the child.
+    quiver = tmp_path / "a2.quiver"
+    quiver.write_text("vertex a\nvertex b\narrow x b a\n")
+    src = os.path.dirname(os.path.dirname(quivrep.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT_CHILD, str(quiver)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("quiver OK: vertices=2 arrows=1")
