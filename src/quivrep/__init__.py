@@ -20,8 +20,8 @@ _EXPORTS = {
     "linalg": ("MatrixQ", "kernel_basis", "kron", "random_invertible", "random_matrix",
                "rank", "seeded_rng"),
     "quiver": ("Arrow", "BoundQuiver", "DimVector", "Path", "Quiver", "Relation",
-               "SupportInfo", "compose_paths", "euler_form", "expected_dim",
-               "full_subquiver", "is_triangular", "minimal_convex",
+               "SupportInfo", "classify_dimvector", "compose_paths", "euler_form",
+               "expected_dim", "full_subquiver", "is_triangular", "minimal_convex",
                "relation_endpoints", "support", "tits_form"),
     "rep": ("CocycleElement", "Representation", "conjugate", "direct_sum",
             "make_rep", "middle_term", "simple_rep", "twisted_evaluate", "zero_rep"),
@@ -29,7 +29,7 @@ _EXPORTS = {
                  "cocycle_space", "end_dim", "ext1_dim", "ext2_dim_via_euler",
                  "ext_report", "hom_basis", "hom_dim", "iso_probable", "orbit_dim"),
     "geometry": ("RegularityCertificate", "StratumReport", "bisection_classify",
-                 "classify_dimvector", "constrained_cocycles", "direct_sum_stratum_dim",
+                 "constrained_cocycles", "direct_sum_stratum_dim",
                  "ext_stratum_tangent_bound", "regularity_certificate"),
     "family": ("Family", "FamilyParams", "FamilyReport", "build_family",
                "canonical_dimvecs", "verify_family"),

@@ -8,9 +8,8 @@ deterministic for fixed inputs and seeds.
 
 Each handler imports what it runs from ``family``, ``geometry`` and
 ``homology`` when it is called, so a process loads only the layers of its
-subcommand.  ``validate`` loads none of them, and ``euler`` loads
-``geometry`` only for ``--assume-tame-quasitilted``; ``invariants`` and
-``iso`` load ``homology``; ``certify`` and ``bisect`` load ``geometry``,
+subcommand.  ``validate`` and ``euler`` load none of them;
+``invariants`` and ``iso`` load ``homology``; ``certify`` and ``bisect`` load ``geometry``,
 which imports ``homology``; ``family`` and ``paper-verify`` load all three.
 """
 
@@ -22,7 +21,8 @@ from pathlib import Path
 
 from .errors import (DecompositionMismatch, InequalityViolated, ParseError,
                      QuivrepError)
-from .quiver import euler_form, expected_dim, is_triangular, tits_form
+from .quiver import (classify_dimvector, euler_form, expected_dim, is_triangular,
+                     tits_form)
 from .rep import Representation
 from .textio import (parse_dimvec, parse_quiver, parse_rep, serialize_quiver,
                      serialize_rep)
@@ -112,8 +112,6 @@ def _cmd_euler(args) -> int:
     print(f"glsum(d1) = {d1.glsum()}")
     print(f"expected_dim(d1) = {expected_dim(d1, bq)}")
     if args.assume_tame_quasitilted:
-        from .geometry import classify_dimvector
-
         verdict = classify_dimvector(d1, bq, assume_tame_quasitilted=True)
         print(f"classification(d1) = {verdict}")
     if args.dim2:

@@ -36,7 +36,7 @@ from .linalg import hstack, random_invertible, rank, seeded_rng, vstack
 from .quiver import (BoundQuiver, DimVector, Quiver, Relation, euler_form,
                      expected_dim, is_triangular, minimal_convex, tits_form)
 from .rep import Representation, conjugate, direct_sum, make_rep, simple_rep
-from .homology import cocycle_space, coboundary_space, hom_dim
+from .homology import ext_report, hom_dim
 from .geometry import constrained_cocycles, direct_sum_stratum_dim
 
 
@@ -59,19 +59,17 @@ class FamilyParams(Value):
         return f"({self.p},{self.q},{self.r},{self.s},{self.t})"
 
 
-def _arm(group: str, count: int, far_end: str, near_end: str):
+def _arm(names: tuple, far_end: str, near_end: str):
     """Vertex and arrow specs of one arm.
 
-    The arm's arrows ``group1 ... group{count}`` compose (in written
-    order, rightmost first) to a path from `near_end` to `far_end`;
-    interior vertices are named ``v{group}{i}``.
+    The arm's arrows `names`, ``group1 ... group{count}``, compose (in
+    written order, rightmost first) to a path from `near_end` to
+    `far_end`; the interior vertex ``v{group}{i}`` is the source of
+    ``group{i}``.
     """
-    interiors = [f"v{group}{i}" for i in range(1, count)]
+    interiors = [f"v{name}" for name in names[:-1]]
     chain = [far_end] + interiors + [near_end]
-    arrows = []
-    for i in range(1, count + 1):
-        arrows.append((f"{group}{i}", chain[i], chain[i - 1]))
-    return interiors, arrows
+    return interiors, list(zip(names, chain[1:], chain))
 
 
 class Family:
@@ -81,28 +79,31 @@ class Family:
         self.params = params
 
     @cached_property
-    def bound_quiver(self) -> BoundQuiver:
+    def arms(self) -> tuple:
+        """Arrow names of the alpha, beta, gamma, xi and delta arms."""
         p = self.params
-        alpha_v, alpha_a = _arm("alpha", p.p, "a", "b")
-        beta_v, beta_a = _arm("beta", p.q, "a", "b")
-        gamma_v, gamma_a = _arm("gamma", p.r, "a", "b")
-        xi_v, xi_a = _arm("xi", p.s, "b", "c")
-        delta_v, delta_a = _arm("delta", p.t, "b", "c")
+        return tuple(tuple(f"{group}{i}" for i in range(1, count + 1))
+                     for group, count in (("alpha", p.p), ("beta", p.q), ("gamma", p.r),
+                                          ("xi", p.s), ("delta", p.t)))
+
+    @cached_property
+    def bound_quiver(self) -> BoundQuiver:
+        alpha, beta, gamma, xi, delta = self.arms
+        alpha_v, alpha_a = _arm(alpha, "a", "b")
+        beta_v, beta_a = _arm(beta, "a", "b")
+        gamma_v, gamma_a = _arm(gamma, "a", "b")
+        xi_v, xi_a = _arm(xi, "b", "c")
+        delta_v, delta_a = _arm(delta, "b", "c")
         vertices = (["a"] + alpha_v + beta_v + gamma_v + ["b"]
                     + xi_v + delta_v + ["c"])
         arrows = alpha_a + beta_a + gamma_a + xi_a + delta_a
         quiver = Quiver.build(vertices, arrows)
-        alpha = [f"alpha{i}" for i in range(1, p.p + 1)]
-        beta = [f"beta{i}" for i in range(1, p.q + 1)]
-        gamma = [f"gamma{i}" for i in range(1, p.r + 1)]
-        xi = [f"xi{i}" for i in range(1, p.s + 1)]
-        delta = [f"delta{i}" for i in range(1, p.t + 1)]
         relations = (
             Relation.of([(1, quiver.path(alpha)), (-1, quiver.path(beta)),
                          (1, quiver.path(gamma))]),
             Relation.of([(1, quiver.path([alpha[-1], xi[0]]))]),
-            Relation.of([(1, quiver.path([beta[-1]] + xi)),
-                         (-1, quiver.path([beta[-1]] + delta))]),
+            Relation.of([(1, quiver.path([beta[-1], *xi])),
+                         (-1, quiver.path([beta[-1], *delta]))]),
             Relation.of([(1, quiver.path([gamma[-1], delta[0]]))]),
         )
         return BoundQuiver.of(quiver, relations)
@@ -111,19 +112,13 @@ class Family:
     def quiver(self) -> Quiver:
         return self.bound_quiver.quiver
 
-    def _group(self, name: str, count: int):
-        return [f"{name}{i}" for i in range(1, count + 1)]
-
     @cached_property
     def ab_arrow_names(self) -> tuple:
-        p = self.params
-        return tuple(self._group("alpha", p.p) + self._group("beta", p.q)
-                     + self._group("gamma", p.r))
+        return sum(self.arms[:3], ())
 
     @cached_property
     def bc_arrow_names(self) -> tuple:
-        p = self.params
-        return tuple(self._group("xi", p.s) + self._group("delta", p.t))
+        return sum(self.arms[3:], ())
 
     @cached_property
     def h1(self) -> DimVector:
@@ -251,10 +246,20 @@ class GridRow(Value):
     def summand_total(self) -> int:
         return self.z_h1h1 + self.z_h2h2 + self.z_cross + self.b_cross
 
+    def failed_checks(self, bound: int) -> list:
+        """The row's failed checks in report order, as (message, exceeds_bound) pairs."""
+        checks = (
+            (self.hom_probe != 1, f"hom(probe, M) = {self.hom_probe}, expected 1", False),
+            (not self.linear, "constrained locus not certified linear", False),
+            (not self.audit_ok, "base-change audit failed", False),
+            (self.direct != self.summand_total,
+             f"direct dim {self.direct} != summand total {self.summand_total}", False),
+            (self.direct > bound, f"direct dim {self.direct} exceeds bound {bound}", True),
+        )
+        return [(message, exceeds) for bad, message, exceeds in checks if bad]
+
     def status(self, bound: int) -> str:
-        ok = (self.hom_probe == 1 and self.linear and self.audit_ok
-              and self.direct == self.summand_total and self.direct <= bound)
-        return "ok" if ok else "FAIL"
+        return "FAIL" if self.failed_checks(bound) else "ok"
 
 
 class FamilyReport(Value):
@@ -431,10 +436,14 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
     bound = report.expected_total
     decomposition_bad = []
     inequality_bad = []
+    reps_v, z_v = {}, {}
     for iu, u in enumerate(u_labels):
         rep_u = fam.rep_h1(u)
+        z_u = None
         for iv, v in enumerate(v_labels):
-            rep_v = fam.rep_h2(v)
+            if iv not in reps_v:
+                reps_v[iv] = fam.rep_h2(v)
+            rep_v = reps_v[iv]
             m = direct_sum(rep_u, rep_v)
             pair = f"(u={u}, v={v})"
             if not m.is_variety_point(bq):
@@ -442,38 +451,25 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
                 decomposition_bad.append(pair)
                 continue
             stratum = constrained_cocycles(probe, m, bq)
+            # Each label's own Z is computed once, on its first measured pair.
+            if z_u is None:
+                z_u = ext_report(rep_u, rep_u, bq).z_dim
+            if iv not in z_v:
+                z_v[iv] = ext_report(rep_v, rep_v, bq).z_dim
+            uv = ext_report(rep_u, rep_v, bq)
+            vu = ext_report(rep_v, rep_u, bq)
             row = GridRow(
-                u=str(u), v=str(v),
-                hom_probe=stratum.hom_to_probe,
-                z_h1h1=cocycle_space(rep_u, rep_u, bq).dim,
-                z_h2h2=cocycle_space(rep_v, rep_v, bq).dim,
-                z_cross=cocycle_space(rep_u, rep_v, bq).dim,
-                b_cross=coboundary_space(rep_v, rep_u).dim,
-                direct=stratum.constrained_dim,
-                linear=stratum.linear,
+                u=str(u), v=str(v), hom_probe=stratum.hom_to_probe,
+                z_h1h1=z_u, z_h2h2=z_v[iv], z_cross=uv.z_dim, b_cross=vu.b_dim,
+                direct=stratum.constrained_dim, linear=stratum.linear,
                 audit_ok=_conjugation_audit(fam, m, probe, stratum.hom_to_probe,
                                             seed, iu, iv),
-                hom_12=hom_dim(rep_u, rep_v),
-                hom_21=hom_dim(rep_v, rep_u),
+                hom_12=uv.hom, hom_21=vu.hom,
             )
             report.rows.append(row)
-            if row.hom_probe != 1:
-                report.failures.append(f"{pair}: hom(probe, M) = {row.hom_probe}, expected 1")
-                decomposition_bad.append(pair)
-            if not row.linear:
-                report.failures.append(f"{pair}: constrained locus not certified linear")
-                decomposition_bad.append(pair)
-            if not row.audit_ok:
-                report.failures.append(f"{pair}: base-change audit failed")
-                decomposition_bad.append(pair)
-            if row.direct != row.summand_total:
-                report.failures.append(
-                    f"{pair}: direct dim {row.direct} != summand total {row.summand_total}")
-                decomposition_bad.append(pair)
-            if row.direct > bound:
-                report.failures.append(
-                    f"{pair}: direct dim {row.direct} exceeds bound {bound}")
-                inequality_bad.append(pair)
+            for message, exceeds_bound in row.failed_checks(bound):
+                report.failures.append(f"{pair}: {message}")
+                (inequality_bad if exceeds_bound else decomposition_bad).append(pair)
     report.min_hom_12 = min((r.hom_12 for r in report.rows), default=0)
     report.min_hom_21 = min((r.hom_21 for r in report.rows), default=0)
     report.stratum_dim = direct_sum_stratum_dim(

@@ -27,38 +27,17 @@ from ._value import Value, _set
 from .errors import HomNotZero, NotAVarietyPoint, QuivrepError
 from .linalg import in_span, independent_subset
 from .quiver import (BoundQuiver, DimVector, euler_form, expected_dim,
-                     is_triangular, support, tits_form)
+                     is_triangular, tits_form)
 from .rep import CocycleElement, Representation, middle_term
 from .homology import (cocycle_space, coboundary_space, ext_report, hom_dim,
                        orbit_dim)
 
 __all__ = [
     "euler_form", "tits_form", "expected_dim", "orbit_dim",
-    "classify_dimvector", "regularity_certificate", "RegularityCertificate",
+    "regularity_certificate", "RegularityCertificate",
     "constrained_cocycles", "StratumReport", "ext_stratum_tangent_bound",
     "direct_sum_stratum_dim", "bisection_classify",
 ]
-
-
-def classify_dimvector(d: DimVector, bq: BoundQuiver, assume_tame_quasitilted: bool) -> str:
-    """Indecomposable count prediction from connectedness and the Tits form.
-
-    Only meaningful when the caller asserts the algebra is tame
-    quasi-tilted (flag); without the flag the verdict is "Unknown".
-    Verdicts: "NoIndecomposable" (support disconnected or q not in {0,1}),
-    "UniqueIndecomposable" (q = 1), "OneParameterFamilies" (q = 0).
-    """
-    if not assume_tame_quasitilted:
-        return "Unknown"
-    info = support(d, bq.quiver)
-    if not info.is_connected:
-        return "NoIndecomposable"
-    q = tits_form(d, bq)
-    if q == 1:
-        return "UniqueIndecomposable"
-    if q == 0:
-        return "OneParameterFamilies"
-    return "NoIndecomposable"
 
 
 @dataclass(frozen=True)

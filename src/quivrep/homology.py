@@ -275,8 +275,11 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
     endomorphism dimensions differ, or hom(M, N) != end(M)),
     "Isomorphic" when some random rational combination of a Hom basis is
     invertible at every vertex (an exact certificate), and "Inconclusive"
-    after the given number of failed draws.
+    after the given number of failed draws.  Coefficients are drawn from
+    [-entry_bound, entry_bound], so `entry_bound` must be at least 1.
     """
+    if entry_bound < 1:
+        raise QuivrepError(f"entry bound must be at least 1, got {entry_bound}")
     if m.quiver != n.quiver:
         raise QuivrepError("representations on different quivers")
     if m.dim != n.dim:

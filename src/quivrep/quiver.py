@@ -159,24 +159,36 @@ class Relation(Value):
 
     @staticmethod
     def of(terms: Sequence) -> "Relation":
-        cleaned = []
+        """Validate the terms and merge like ones.
+
+        Terms on the same path (the same arrow word) are summed into one,
+        in first-occurrence order, and paths whose coefficients cancel are
+        dropped; a relation with no term left is refused.
+        """
+        merged = {}  # arrow word -> (summed coefficient, first path)
         for coeff, path in terms:
             coeff = Fraction(coeff)
             if coeff == 0:
                 raise QuivrepError("relation term with zero coefficient")
             if path.is_trivial:
                 raise QuivrepError("relation paths must have length >= 1")
-            cleaned.append((coeff, path))
-        if not cleaned:
+            if path.arrow_names in merged:
+                total, path = merged[path.arrow_names]
+                coeff += total
+            merged[path.arrow_names] = (coeff, path)
+        if not merged:
             raise QuivrepError("relation must have at least one term")
-        src = cleaned[0][1].source
-        tgt = cleaned[0][1].target
-        for _, path in cleaned[1:]:
+        (_, first), *rest = merged.values()
+        src, tgt = first.source, first.target
+        for _, path in rest:
             if path.source != src or path.target != tgt:
                 raise MixedEndpoints(
                     f"relation mixes endpoints: ({path.source},{path.target})"
                     f" vs ({src},{tgt})")
-        return Relation(tuple(cleaned))
+        kept = tuple(term for term in merged.values() if term[0])
+        if not kept:
+            raise QuivrepError("relation terms cancel to zero")
+        return Relation(kept)
 
     @property
     def source(self) -> str:
@@ -326,30 +338,12 @@ def is_triangular(quiver: Quiver) -> bool:
     return True
 
 
-def _reachable_from(quiver: Quiver, starts) -> set:
-    adj = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        adj[a.source].append(a.target)
+def _reach(adjacency: Mapping, starts) -> set:
+    """The starts plus every vertex reachable from them along `adjacency`."""
     seen = set(starts)
-    stack = list(starts)
+    stack = list(seen)
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _reaching_into(quiver: Quiver, targets) -> set:
-    adj = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        adj[a.target].append(a.source)
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
+        for w in adjacency[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -368,10 +362,13 @@ def minimal_convex(quiver: Quiver, seed_vertices) -> tuple:
     for v in current:
         if v not in quiver.vertex_index:
             raise QuivrepError(f"unknown vertex {v!r}")
+    forward = {v: [] for v in quiver.vertices}
+    backward = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        forward[a.source].append(a.target)
+        backward[a.target].append(a.source)
     while True:
-        downstream = _reachable_from(quiver, current)
-        upstream = _reaching_into(quiver, current)
-        closed = downstream & upstream
+        closed = _reach(forward, current) & _reach(backward, current)
         if closed == current:
             break
         current = closed
@@ -406,16 +403,30 @@ def support(d: DimVector, quiver: Quiver) -> SupportInfo:
     sincere = len(supported) == len(quiver.vertices)
     if not supported:
         return SupportInfo(sub, sincere, False)
-    adj = {v: set() for v in sub.vertices}
+    adj = {v: [] for v in sub.vertices}
     for a in sub.arrows:
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
-    seen = {supported[0]}
-    stack = [supported[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return SupportInfo(sub, sincere, len(seen) == len(supported))
+        adj[a.source].append(a.target)
+        adj[a.target].append(a.source)
+    connected = len(_reach(adj, supported[:1])) == len(supported)
+    return SupportInfo(sub, sincere, connected)
+
+
+def classify_dimvector(d: DimVector, bq: BoundQuiver, assume_tame_quasitilted: bool) -> str:
+    """Indecomposable count prediction from connectedness and the Tits form.
+
+    Only meaningful when the caller asserts the algebra is tame
+    quasi-tilted (flag); without the flag the verdict is "Unknown".
+    Verdicts: "NoIndecomposable" (support disconnected or q not in {0,1}),
+    "UniqueIndecomposable" (q = 1), "OneParameterFamilies" (q = 0).
+    """
+    if not assume_tame_quasitilted:
+        return "Unknown"
+    info = support(d, bq.quiver)
+    if not info.is_connected:
+        return "NoIndecomposable"
+    q = tits_form(d, bq)
+    if q == 1:
+        return "UniqueIndecomposable"
+    if q == 0:
+        return "OneParameterFamilies"
+    return "NoIndecomposable"

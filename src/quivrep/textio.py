@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (MixedEndpoints, NonComposable, ParseError, QuivrepError)
+from .errors import NonComposable, ParseError, QuivrepError
 from .linalg import MatrixQ
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
 from .rep import Representation, make_rep
@@ -127,7 +127,7 @@ def _parse_relation(quiver: Quiver, lineno: int, tokens) -> Relation:
         raise ParseError(lineno, "relation ends with a dangling sign")
     try:
         return Relation.of(terms)
-    except MixedEndpoints as exc:
+    except QuivrepError as exc:
         raise ParseError(lineno, str(exc)) from None
 
 

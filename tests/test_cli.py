@@ -219,6 +219,25 @@ def test_iso_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "NotIsomorphic"
 
 
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_iso_entry_bound_below_one_exits_2(tmp_path, capsys, bound):
+    q = write(tmp_path, "a2.quiver", A2_TEXT)
+    p = write(tmp_path, "p.rep", P_TEXT)
+    assert main(["iso", "--quiver", q, "--rep", p, "--rep2", p,
+                 "--entry-bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: entry bound must be at least 1")
+
+
+def test_cancelling_relation_exits_2(tmp_path, capsys):
+    q = write(tmp_path, "bad.quiver", "vertex a\nvertex b\narrow x a b\nrel 2*x - 2*x\n")
+    assert main(["validate", "--quiver", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 4:")
+
+
 def test_bisect_subcommand(tmp_path, capsys):
     q = write(tmp_path, "a2.quiver", A2_TEXT)
     t = write(tmp_path, "p.rep", P_TEXT)

@@ -12,6 +12,8 @@ from quivrep import (
     direct_sum,
     euler_form,
     expected_dim,
+    coboundary_space,
+    cocycle_space,
     hom_dim,
     make_rep,
     random_invertible,
@@ -175,8 +177,14 @@ def test_verify_family_flags_boundary_pairs():
         verify_family(FamilyParams(2, 2, 2, 2, 2), seed=1)
     report = exc.value.report
     assert report is not None and not report.all_ok
-    bad = sorted({f.split(":")[0] for f in report.failures})
-    assert bad == ["(u=alpha2, v=xi2)", "(u=gamma2, v=delta2)"]
+    assert report.failures == [
+        "(u=alpha2, v=xi2): direct dim 11 != summand total 10",
+        "(u=alpha2, v=xi2): direct dim 11 exceeds bound 10",
+        "(u=gamma2, v=delta2): direct dim 11 != summand total 10",
+        "(u=gamma2, v=delta2): direct dim 11 exceeds bound 10",
+    ]
+    assert str(exc.value) == (
+        "dimension bound violated at (u=alpha2, v=xi2), (u=gamma2, v=delta2)")
     for row in report.rows:
         assert row.hom_probe == 1
         if (row.u, row.v) in (("alpha2", "xi2"), ("gamma2", "delta2")):
@@ -209,3 +217,25 @@ def test_verify_family_failing_pairs_scale_with_arm_length():
         verify_family(FamilyParams(3, 2, 2, 3, 2), seed=0)
     bad = sorted({f.split(":")[0] for f in exc.value.report.failures})
     assert bad == ["(u=alpha3, v=xi2)", "(u=alpha3, v=xi3)", "(u=gamma2, v=delta2)"]
+
+
+@pytest.mark.parametrize("params", [FamilyParams(1, 1, 1, 1, 1), FamilyParams(2, 1, 1, 1, 1)],
+                         ids=str)
+def test_grid_rows_match_basis_formulas(params):
+    """Every printed row dimension, taken from ranks, equals the length of
+    the basis it counts (the basis path is the reference here)."""
+    fam = Family(params)
+    bq = fam.bound_quiver
+    try:
+        report = verify_family(params)
+    except (InequalityViolated, DecompositionMismatch) as exc:
+        report = exc.report
+    assert len(report.rows) == (3 + len(fam.ab_arrow_names)) * (3 + len(fam.bc_arrow_names))
+    for row in report.rows:
+        h1, h2 = fam.rep_h1(row.u), fam.rep_h2(row.v)
+        assert row.z_h1h1 == cocycle_space(h1, h1, bq).dim
+        assert row.z_h2h2 == cocycle_space(h2, h2, bq).dim
+        assert row.z_cross == cocycle_space(h1, h2, bq).dim
+        assert row.b_cross == coboundary_space(h2, h1).dim
+        assert row.hom_12 == hom_dim(h1, h2)
+        assert row.hom_21 == hom_dim(h2, h1)

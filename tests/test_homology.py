@@ -29,6 +29,7 @@ from quivrep import (
     twisted_evaluate,
 )
 
+from quivrep.errors import QuivrepError
 from quivrep.homology import cocycle_system
 from util import random_bound_quiver, random_variety_pair
 
@@ -174,6 +175,13 @@ def test_iso_probable_verdicts():
     rng = Random(77)
     g = {"v1": random_invertible(1, rng), "v2": random_invertible(1, rng)}
     assert iso_probable(p, conjugate(p, g)) == "Isomorphic"
+
+
+@pytest.mark.parametrize("entry_bound", [0, -1])
+def test_iso_probable_refuses_entry_bound_below_one(entry_bound):
+    p = make_rep(a2().quiver, (1, 1), {"al": [[1]]})
+    with pytest.raises(QuivrepError, match="entry bound must be at least 1"):
+        iso_probable(p, p, entry_bound=entry_bound)
 
 
 def test_iso_probable_dim_mismatch():

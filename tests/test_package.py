@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import quivrep
 
 CHILD = """
@@ -36,7 +38,7 @@ def test_import_loads_no_submodule_and_every_export_resolves():
 FOOTPRINT_CHILD = """
 import sys
 import quivrep.cli as cli
-code = cli.main(["validate", "--quiver", sys.argv[1]])
+code = cli.main(sys.argv[1:])
 absent = ["quivrep.family", "quivrep.geometry", "quivrep.homology",
           "dataclasses", "inspect", "typing"]
 loaded = [name for name in absent if name in sys.modules]
@@ -46,13 +48,18 @@ assert loaded == [], loaded
 """
 
 
-def test_validate_process_loads_only_its_layers(tmp_path):
+@pytest.mark.parametrize("argv, first_line", [
+    (["validate"], "quiver OK: vertices=2 arrows=1"),
+    (["euler", "--dim", "a=1,b=1", "--assume-tame-quasitilted"], "d1 = a=1,b=1"),
+], ids=["validate", "euler-classification"])
+def test_cli_process_loads_only_its_layers(tmp_path, argv, first_line):
     # -S keeps site-packages (and what their .pth files import) out of the child.
     quiver = tmp_path / "a2.quiver"
     quiver.write_text("vertex a\nvertex b\narrow x b a\n")
     src = os.path.dirname(os.path.dirname(quivrep.__file__))
-    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT_CHILD, str(quiver)],
+    args = [argv[0], "--quiver", str(quiver), *argv[1:]]
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT_CHILD, *args],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("quiver OK: vertices=2 arrows=1")
+    assert proc.stdout.startswith(first_line)

@@ -81,6 +81,24 @@ def test_relation_validation():
         Relation.of([(F(1), full), (F(1), q.path(["alpha"]))])
 
 
+def test_relation_merges_like_terms():
+    q = kronecker()
+    a1, a2 = q.path(["a1"]), q.path(["a2"])
+    rel = Relation.of([(2, a2), (F(1), a1), (F(1, 2), a2)])
+    assert rel.terms == ((F(5, 2), a2), (F(1), a1))  # first-occurrence order
+    rel = Relation.of([(1, a1), (3, a2), (2, a1), (-3, a2)])
+    assert rel.terms == ((F(3), a1),)  # the cancelled a2 is dropped
+
+
+def test_relation_whose_terms_cancel_is_refused():
+    q = kronecker()
+    a1, a2 = q.path(["a1"]), q.path(["a2"])
+    with pytest.raises(QuivrepError, match="cancel"):
+        Relation.of([(2, a1), (-2, a1)])
+    with pytest.raises(QuivrepError, match="cancel"):
+        Relation.of([(1, a1), (1, a2), (-1, a1), (-1, a2)])
+
+
 def test_bound_quiver_admissibility():
     q = a3()
     rel_len1 = Relation.of([(F(1), q.path(["alpha"]))])

@@ -72,6 +72,13 @@ def test_mixed_endpoint_relation_rejected():
         parse_quiver(text)
 
 
+def test_cancelling_relation_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_quiver("vertex a\nvertex b\narrow x a b\nrel 2*x - 2*x\n")
+    assert exc.value.line == 4
+    assert "cancel" in exc.value.reason
+
+
 def test_coefficient_normalization():
     text = BOUND_TEXT.replace("rel 1*alpha.beta", "rel 2/4*alpha.beta")
     bq = parse_quiver(text)
