@@ -36,7 +36,7 @@ from .linalg import hstack, random_invertible, rank, seeded_rng, vstack
 from .quiver import (BoundQuiver, DimVector, Quiver, Relation, euler_form,
                      expected_dim, is_triangular, minimal_convex, tits_form)
 from .rep import Representation, conjugate, direct_sum, make_rep, simple_rep
-from .homology import ext_report, hom_dim
+from .homology import cocycle_system, ext_report, hom_dim, intertwiner_matrix
 from .geometry import constrained_cocycles, direct_sum_stratum_dim
 
 
@@ -453,18 +453,19 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
             stratum = constrained_cocycles(probe, m, bq)
             # Each label's own Z is computed once, on its first measured pair.
             if z_u is None:
-                z_u = ext_report(rep_u, rep_u, bq).z_dim
+                z_u = _nullity(cocycle_system(rep_u, rep_u, bq))
             if iv not in z_v:
-                z_v[iv] = ext_report(rep_v, rep_v, bq).z_dim
+                z_v[iv] = _nullity(cocycle_system(rep_v, rep_v, bq))
             uv = ext_report(rep_u, rep_v, bq)
-            vu = ext_report(rep_v, rep_u, bq)
+            vu = intertwiner_matrix(rep_v, rep_u)  # kernel Hom(H'', H'), image B(H'', H')
+            b_cross = rank(vu)
             row = GridRow(
                 u=str(u), v=str(v), hom_probe=stratum.hom_to_probe,
-                z_h1h1=z_u, z_h2h2=z_v[iv], z_cross=uv.z_dim, b_cross=vu.b_dim,
+                z_h1h1=z_u, z_h2h2=z_v[iv], z_cross=uv.z_dim, b_cross=b_cross,
                 direct=stratum.constrained_dim, linear=stratum.linear,
                 audit_ok=_conjugation_audit(fam, m, probe, stratum.hom_to_probe,
                                             seed, iu, iv),
-                hom_12=uv.hom, hom_21=vu.hom,
+                hom_12=uv.hom, hom_21=vu.cols - b_cross,
             )
             report.rows.append(row)
             for message, exceeds_bound in row.failed_checks(bound):
@@ -486,6 +487,11 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
         raise DecompositionMismatch(
             f"decomposition failed at {', '.join(decomposition_bad)}", report)
     return report
+
+
+def _nullity(system) -> int:
+    """Dimension of the kernel of a linear system: cols - rank."""
+    return system.cols - rank(system)
 
 
 def _conjugation_audit(fam: Family, m: Representation, probe: Representation,

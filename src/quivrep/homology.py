@@ -14,6 +14,12 @@ All spaces are cut out by linear systems over the rationals:
   Euler identity.  :func:`ext_report` is the one place that evaluates
   these formulas; the other dimension helpers read its result.
 
+Both systems are written row by row: each nonzero coefficient of a row is
+stored at its own unknown, and every other entry is the shared zero.  The
+result is the row-major Kronecker form vec(A X B) = kron(A, B^T) vec(X)
+of each block, entry for entry, without forming the mostly-zero products
+with identity matrices.
+
 The dimensions computed here are field-independent: the systems have
 rational coefficients, so ranks over the rationals agree with ranks over
 any extension field.
@@ -25,11 +31,15 @@ from fractions import Fraction
 
 from ._value import Value, _set
 from .errors import QuivrepError
-from .linalg import (MatrixQ, image_basis, is_invertible, kernel_basis, kron,
-                     rank, seeded_rng, vstack)
+from .linalg import MatrixQ, image_basis, is_invertible, kernel_basis, rank, seeded_rng
 from .quiver import BoundQuiver, DimVector, euler_form
 from .rep import (CocycleElement, Representation, cocycle_ambient_dim,
                   twisted_factors)
+
+# Builders start every row as [_ZERO] * cols.  A cell that still holds this
+# very object has not been written, so its first write is a plain store and
+# only a second one (an arrow that is a loop, or two slots on one arrow) adds.
+_ZERO = Fraction(0)
 
 
 def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
@@ -37,7 +47,9 @@ def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
 
     Unknowns are the stacked row-major entries of f_x (shape n_x x m_x) in
     vertex order, and there is one block of rows per arrow.  The kernel is
-    Hom(M, N); the image, laid out like a cocycle family, is B(M, N).
+    Hom(M, N); the image, laid out like a cocycle family, is B(M, N).  For
+    an arrow a: s -> t, row (i, j) of its block holds N_a[i, k] at unknown
+    f_s[k, j] and -M_a[l, j] at unknown f_t[i, l].
     """
     if m.quiver != n.quiver:
         raise QuivrepError("representations on different quivers")
@@ -47,28 +59,27 @@ def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
     for v in quiver.vertices:
         offsets[v] = total
         total += n.dim[v] * m.dim[v]
-    row_blocks = []
+    rows = []
     for arrow in quiver.arrows:
         s, t = arrow.source, arrow.target
-        nrows = n.dim[t] * m.dim[s]
-        block = [[Fraction(0)] * total for _ in range(nrows)]
-        left = kron(n.matrix(arrow.name), MatrixQ.identity(m.dim[s]))
-        _add_block(block, left, offsets[s])
-        right = kron(MatrixQ.identity(n.dim[t]), m.matrix(arrow.name).transpose())
-        _add_block(block, right.scale(-1), offsets[t])
-        row_blocks.append(MatrixQ(nrows, total, tuple(tuple(r) for r in block)))
-    if not row_blocks:
-        return MatrixQ.zeros(0, total)
-    return vstack(row_blocks)
-
-
-def _add_block(rows, block: MatrixQ, col_offset: int):
-    for i in range(block.rows):
-        row = rows[i]
-        brow = block.data[i]
-        for j in range(block.cols):
-            if brow[j]:
-                row[col_offset + j] += brow[j]
+        width_s, width_t = m.dim[s], m.dim[t]
+        m_a = m.matrix(arrow.name).data
+        # Nonzeros of column j of M_a, as (column of f_t[0, l], -M_a[l, j]).
+        m_cols = [[(offsets[t] + l, -row[j]) for l, row in enumerate(m_a) if row[j]]
+                  for j in range(width_s)]
+        for i, n_row in enumerate(n.matrix(arrow.name).data):
+            # Nonzeros of row i of N_a, as (column of f_s[k, 0], N_a[i, k]).
+            n_nz = [(offsets[s] + k * width_s, x) for k, x in enumerate(n_row) if x]
+            shift = i * width_t
+            for j in range(width_s):
+                row = [_ZERO] * total
+                for col, x in n_nz:
+                    row[col + j] = x
+                for col, y in m_cols[j]:
+                    cell = row[col + shift]
+                    row[col + shift] = y if cell is _ZERO else cell + y
+                rows.append(tuple(row))
+    return MatrixQ(len(rows), total, tuple(rows))
 
 
 class HomBasis(Value):
@@ -140,10 +151,11 @@ class CocycleBasis(Value):
 def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> MatrixQ:
     """Matrix of the twisted relation system whose kernel is Z(V, U).
 
-    Unknowns are the stacked row-major entries of Z_a in arrow order; each
-    slot (coeff, a_j, prefix, suffix) of :func:`rep.twisted_factors` adds
-    coeff * kron(prefix, suffix^T) to the block of a_j, since that is the
-    row-major form of Z_{a_j} |-> prefix Z_{a_j} suffix.
+    Unknowns are the stacked row-major entries of Z_a in arrow order, and
+    there is one block of rows per relation, row (r, c) for entry (r, c) of
+    the twisted evaluation.  Each slot (coeff, a_j, P, S) of
+    :func:`rep.twisted_factors` contributes P Z_{a_j} S, so it adds
+    coeff * P[r, i] * S[k, c] at unknown Z_{a_j}[i, k] of row (r, c).
     """
     quiver = bq.quiver
     if u.quiver != quiver or v.quiver != quiver:
@@ -154,17 +166,27 @@ def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> Mat
         offsets[arrow.name] = pos
         pos += u.dim[arrow.target] * v.dim[arrow.source]
     total = pos
-    row_blocks = []
+    rows = []
     for rel in bq.relations:
-        nrows = u.dim[rel.target] * v.dim[rel.source]
-        block = [[Fraction(0)] * total for _ in range(nrows)]
+        width = v.dim[rel.source]
+        block = [[_ZERO] * total for _ in range(u.dim[rel.target] * width)]
         for coeff, name, prefix, suffix in twisted_factors(rel, u, v):
-            contrib = kron(prefix, suffix.transpose()).scale(coeff)
-            _add_block(block, contrib, offsets[name])
-        row_blocks.append(MatrixQ(nrows, total, tuple(tuple(r) for r in block)))
-    if not row_blocks:
-        return MatrixQ.zeros(0, total)
-    return vstack(row_blocks)
+            # Z_{a_j}[i, k] is unknown offset + i * w + k, with w = v.dim[source(a_j)].
+            w = suffix.rows
+            s_cols = [[(k, coeff * row[c]) for k, row in enumerate(suffix.data) if row[c]]
+                      for c in range(width)]
+            for r, p_row in enumerate(prefix.data):
+                p_nz = [(offsets[name] + i * w, p) for i, p in enumerate(p_row) if p]
+                if not p_nz:
+                    continue
+                for c, s_nz in enumerate(s_cols):
+                    row = block[r * width + c]
+                    for col, p in p_nz:
+                        for k, x in s_nz:
+                            cell = row[col + k]
+                            row[col + k] = p * x if cell is _ZERO else cell + p * x
+        rows.extend(tuple(row) for row in block)
+    return MatrixQ(len(rows), total, tuple(rows))
 
 
 def cocycle_space(v: Representation, u: Representation, bq: BoundQuiver) -> CocycleBasis:
@@ -276,8 +298,11 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
     "Isomorphic" when some random rational combination of a Hom basis is
     invertible at every vertex (an exact certificate), and "Inconclusive"
     after the given number of failed draws.  Coefficients are drawn from
-    [-entry_bound, entry_bound], so `entry_bound` must be at least 1.
+    [-entry_bound, entry_bound], so `entry_bound` must be at least 1, and
+    `trials` must be at least 1.
     """
+    if trials < 1:
+        raise QuivrepError(f"trial count must be at least 1, got {trials}")
     if entry_bound < 1:
         raise QuivrepError(f"entry bound must be at least 1, got {entry_bound}")
     if m.quiver != n.quiver:
@@ -292,7 +317,7 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
         return "NotIsomorphic"
     rng = seeded_rng("iso", seed)
     quiver = m.quiver
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         coeffs = [Fraction(rng.randint(-entry_bound, entry_bound)) for _ in basis.elements]
         candidate = {}
         for v in quiver.vertices:

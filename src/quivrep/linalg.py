@@ -167,8 +167,9 @@ def block_matrix(grid: Sequence[Sequence[MatrixQ]]) -> MatrixQ:
 def kron(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     """Kronecker product.
 
-    With row-major vectorisation, vec(A X B) = kron(A, B^T) vec(X); this is
-    how all intertwiner and cocycle systems are assembled.
+    With row-major vectorisation, vec(A X B) = kron(A, B^T) vec(X).  The
+    systems in :mod:`quivrep.homology` use this identity entry by entry and
+    write only the nonzero entries, so they do not call this function.
     """
     rows = a.rows * b.rows
     cols = a.cols * b.cols

@@ -230,6 +230,16 @@ def test_iso_entry_bound_below_one_exits_2(tmp_path, capsys, bound):
     assert captured.err.startswith("error: entry bound must be at least 1")
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_iso_trials_below_one_exits_2(tmp_path, capsys, trials):
+    q = write(tmp_path, "a2.quiver", A2_TEXT)
+    p = write(tmp_path, "p.rep", P_TEXT)
+    assert main(["iso", "--quiver", q, "--rep", p, "--rep2", p, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: trial count must be at least 1")
+
+
 def test_cancelling_relation_exits_2(tmp_path, capsys):
     q = write(tmp_path, "bad.quiver", "vertex a\nvertex b\narrow x a b\nrel 2*x - 2*x\n")
     assert main(["validate", "--quiver", q]) == 2

@@ -184,6 +184,13 @@ def test_iso_probable_refuses_entry_bound_below_one(entry_bound):
         iso_probable(p, p, entry_bound=entry_bound)
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_iso_probable_refuses_trials_below_one(trials):
+    p = make_rep(a2().quiver, (1, 1), {"al": [[1]]})
+    with pytest.raises(QuivrepError, match="trial count must be at least 1"):
+        iso_probable(p, p, trials=trials)
+
+
 def test_iso_probable_dim_mismatch():
     bq = a2()
     q = bq.quiver

@@ -1,0 +1,180 @@
+"""Differential tests of the direct system builders against Kronecker assembly.
+
+`oracle_intertwiner_matrix` and `oracle_cocycle_system` below are the
+`quivrep.homology` builders from before the systems were written row by
+row, kept verbatim with their `_add_block` helper.  They assemble each
+block from dense Kronecker products with identity matrices.  They live
+here as oracles only: every system the package builds must equal theirs
+entry for entry, so ranks, kernels, images and every report built on them
+are unchanged.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+from quivrep import Arrow, BoundQuiver, Quiver, make_rep, random_matrix
+from quivrep.errors import QuivrepError
+from quivrep.homology import cocycle_system, intertwiner_matrix
+from quivrep.linalg import MatrixQ, kron, vstack
+from quivrep.rep import twisted_factors
+from util import (hitting_set_point, random_bound_quiver, random_dims, random_relations,
+                  random_variety_pair)
+
+
+def oracle_intertwiner_matrix(m, n) -> MatrixQ:
+    """Matrix of f |-> (N_a f_source - f_target M_a) over all arrows a.
+
+    Unknowns are the stacked row-major entries of f_x (shape n_x x m_x) in
+    vertex order, and there is one block of rows per arrow.  The kernel is
+    Hom(M, N); the image, laid out like a cocycle family, is B(M, N).
+    """
+    if m.quiver != n.quiver:
+        raise QuivrepError("representations on different quivers")
+    quiver = m.quiver
+    offsets = {}
+    total = 0
+    for v in quiver.vertices:
+        offsets[v] = total
+        total += n.dim[v] * m.dim[v]
+    row_blocks = []
+    for arrow in quiver.arrows:
+        s, t = arrow.source, arrow.target
+        nrows = n.dim[t] * m.dim[s]
+        block = [[Fraction(0)] * total for _ in range(nrows)]
+        left = kron(n.matrix(arrow.name), MatrixQ.identity(m.dim[s]))
+        _add_block(block, left, offsets[s])
+        right = kron(MatrixQ.identity(n.dim[t]), m.matrix(arrow.name).transpose())
+        _add_block(block, right.scale(-1), offsets[t])
+        row_blocks.append(MatrixQ(nrows, total, tuple(tuple(r) for r in block)))
+    if not row_blocks:
+        return MatrixQ.zeros(0, total)
+    return vstack(row_blocks)
+
+
+def _add_block(rows, block: MatrixQ, col_offset: int):
+    for i in range(block.rows):
+        row = rows[i]
+        brow = block.data[i]
+        for j in range(block.cols):
+            if brow[j]:
+                row[col_offset + j] += brow[j]
+
+
+def oracle_cocycle_system(v, u, bq) -> MatrixQ:
+    """Matrix of the twisted relation system whose kernel is Z(V, U).
+
+    Unknowns are the stacked row-major entries of Z_a in arrow order; each
+    slot (coeff, a_j, prefix, suffix) of :func:`rep.twisted_factors` adds
+    coeff * kron(prefix, suffix^T) to the block of a_j, since that is the
+    row-major form of Z_{a_j} |-> prefix Z_{a_j} suffix.
+    """
+    quiver = bq.quiver
+    if u.quiver != quiver or v.quiver != quiver:
+        raise QuivrepError("representations on a different quiver")
+    offsets = {}
+    pos = 0
+    for arrow in quiver.arrows:
+        offsets[arrow.name] = pos
+        pos += u.dim[arrow.target] * v.dim[arrow.source]
+    total = pos
+    row_blocks = []
+    for rel in bq.relations:
+        nrows = u.dim[rel.target] * v.dim[rel.source]
+        block = [[Fraction(0)] * total for _ in range(nrows)]
+        for coeff, name, prefix, suffix in twisted_factors(rel, u, v):
+            contrib = kron(prefix, suffix.transpose()).scale(coeff)
+            _add_block(block, contrib, offsets[name])
+        row_blocks.append(MatrixQ(nrows, total, tuple(tuple(r) for r in block)))
+    if not row_blocks:
+        return MatrixQ.zeros(0, total)
+    return vstack(row_blocks)
+
+
+def assert_same_systems(m, n, bq):
+    """Both builders agree with their oracles, in both orders of the pair."""
+    for a, b in ((m, n), (n, m)):
+        for got, want in ((intertwiner_matrix(a, b), oracle_intertwiner_matrix(a, b)),
+                          (cocycle_system(a, b, bq), oracle_cocycle_system(a, b, bq))):
+            assert got.shape == want.shape and got.data == want.data
+            assert all(isinstance(x, Fraction) for x in got.entries())
+
+
+def with_rational_entries(rep, rng: Random):
+    """The same representation with every nonzero entry scaled by a random
+    non-integer rational.  Zero matrices stay zero, so a hitting-set point
+    stays a variety point."""
+    mats = {}
+    for arrow, mat in zip(rep.quiver.arrows, rep.matrices):
+        mats[arrow.name] = MatrixQ(mat.rows, mat.cols, tuple(
+            tuple(x * Fraction(rng.choice([1, -1, 5]), rng.choice([2, 3, 7])) for x in row)
+            for row in mat.data))
+    return make_rep(rep.quiver, rep.dim, mats)
+
+
+def random_quiver_with_cycles(rng: Random) -> Quiver:
+    """Arrows between any two vertices, loops included, so that relation
+    paths can pass through one arrow more than once."""
+    n = rng.randint(1, 3)
+    vertices = tuple(f"v{i}" for i in range(1, n + 1))
+    arrows = [Arrow(f"a{k + 1}", rng.choice(vertices), rng.choice(vertices))
+              for k in range(rng.randint(1, 4))]
+    return Quiver.build(vertices, arrows)
+
+
+def random_rep(rng: Random, quiver: Quiver):
+    dims = random_dims(rng, quiver, 3)
+    mats = {a.name: random_matrix(dims[a.target], dims[a.source], rng, 2) for a in quiver.arrows}
+    return make_rep(quiver, dims, mats)
+
+
+def test_builders_match_oracle_on_seeded_variety_pairs():
+    """200 seeded pairs from the shared generators, in both orders, half of
+    them with non-integer entries; zero-dimensional vertices are common."""
+    rng = Random(8301)
+    zero_dim_pairs = relation_free = 0
+    for i in range(200):
+        bq = random_bound_quiver(rng)
+        u, v = random_variety_pair(rng, bq)
+        if i % 2:
+            u, v = with_rational_entries(u, rng), with_rational_entries(v, rng)
+        zero_dim_pairs += 0 in u.dim.entries or 0 in v.dim.entries
+        relation_free += not bq.relations
+        assert_same_systems(u, v, bq)
+    assert zero_dim_pairs > 50 and relation_free > 10
+
+
+def test_builders_match_oracle_when_relation_paths_repeat_an_arrow():
+    rng = Random(8302)
+    repeated = 0
+    for _ in range(120):
+        quiver = random_quiver_with_cycles(rng)
+        bq = BoundQuiver.of(quiver, random_relations(rng, quiver, 3))
+        repeated += any(len(set(p.arrow_names)) < len(p.arrow_names)
+                        for rel in bq.relations for _, p in rel.terms)
+        u, v = random_rep(rng, quiver), random_rep(rng, quiver)
+        assert_same_systems(u, with_rational_entries(v, rng), bq)
+    assert repeated > 20
+
+
+@pytest.mark.parametrize("dims", [(0, 0, 0), (2, 0, 1), (1, 1, 1)])
+def test_builders_match_oracle_without_arrows(dims):
+    quiver = Quiver.build(("x", "y", "z"), ())
+    bq = BoundQuiver.of(quiver, ())
+    u = make_rep(quiver, dims)
+    v = make_rep(quiver, (1, 2, 0))
+    assert_same_systems(u, v, bq)
+    assert intertwiner_matrix(u, v).shape == (0, 2 * dims[1] + dims[0])
+    assert cocycle_system(u, v, bq).shape == (0, 0)
+
+
+def test_builders_match_oracle_with_every_vertex_zero_dimensional():
+    rng = Random(8303)
+    bq = random_bound_quiver(rng)
+    while not bq.relations:
+        bq = random_bound_quiver(rng)
+    zero = make_rep(bq.quiver, {x: 0 for x in bq.quiver.vertices})
+    other = hitting_set_point(rng, bq, random_dims(rng, bq.quiver))
+    assert_same_systems(zero, other, bq)
+    assert_same_systems(zero, zero, bq)
