@@ -14,25 +14,24 @@ import importlib
 
 _EXPORTS = {
     "errors": ("DecompositionMismatch", "HomNotZero", "InequalityViolated",
-               "InvalidLabel", "MixedEndpoints", "NegativeExt2", "NonComposable",
-               "NotACocycle", "NotAVarietyPoint", "ParseError", "QuivrepError",
-               "ShapeMismatch", "WrongDimension"),
+               "InvalidLabel", "MixedEndpoints", "NonComposable", "NotACocycle",
+               "NotAVarietyPoint", "ParseError", "QuivrepError", "ShapeMismatch",
+               "WrongDimension"),
     "linalg": ("MatrixQ", "kernel_basis", "kron", "random_invertible", "random_matrix",
                "rank", "seeded_rng"),
     "quiver": ("Arrow", "BoundQuiver", "DimVector", "Path", "Quiver", "Relation",
                "SupportInfo", "classify_dimvector", "compose_paths", "euler_form",
                "expected_dim", "full_subquiver", "is_triangular", "minimal_convex",
-               "relation_endpoints", "support", "tits_form"),
+               "support", "tits_form"),
     "rep": ("CocycleElement", "Representation", "conjugate", "direct_sum",
-            "make_rep", "middle_term", "simple_rep", "twisted_evaluate", "zero_rep"),
+            "make_rep", "middle_term", "simple_rep", "twisted_evaluate"),
     "homology": ("CocycleBasis", "ExtReport", "HomBasis", "coboundary_space",
-                 "cocycle_space", "end_dim", "ext1_dim", "ext2_dim_via_euler",
-                 "ext_report", "hom_basis", "hom_dim", "iso_probable", "orbit_dim"),
+                 "cocycle_space", "ext1_dim", "ext_report", "hom_basis", "hom_dim",
+                 "iso_probable", "orbit_dim"),
     "geometry": ("RegularityCertificate", "StratumReport", "bisection_classify",
                  "constrained_cocycles", "direct_sum_stratum_dim",
                  "ext_stratum_tangent_bound", "regularity_certificate"),
-    "family": ("Family", "FamilyParams", "FamilyReport", "build_family",
-               "canonical_dimvecs", "verify_family"),
+    "family": ("Family", "FamilyParams", "FamilyReport", "verify_family"),
     "textio": ("parse_dimvec", "parse_quiver", "parse_rep", "serialize_quiver",
                "serialize_rep"),
 }

@@ -112,7 +112,7 @@ def _cmd_euler(args) -> int:
     print(f"glsum(d1) = {d1.glsum()}")
     print(f"expected_dim(d1) = {expected_dim(d1, bq)}")
     if args.assume_tame_quasitilted:
-        verdict = classify_dimvector(d1, bq, assume_tame_quasitilted=True)
+        verdict = classify_dimvector(d1, bq)
         print(f"classification(d1) = {verdict}")
     if args.dim2:
         d2 = parse_dimvec(args.dim2, bq.quiver)

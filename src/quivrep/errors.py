@@ -30,17 +30,6 @@ class NotACocycle(QuivrepError):
     """A candidate cocycle fails the twisted relation equations."""
 
 
-class NegativeExt2(QuivrepError):
-    """An ext^2 value came out negative; nothing in the package raises it.
-
-    The Euler-form value ``<dim M, dim N> - hom + ext1`` that
-    ``homology.ext_report`` reports as ext2 equals rows - rank of the
-    relation (cocycle) system, the dimension of its cokernel, which is
-    never negative.  It is Ext^2 when the global dimension is at most two.
-    The class stays in the public exception set.
-    """
-
-
 class HomNotZero(QuivrepError):
     """A tangent bound was requested for a pair with Hom(V, U) != 0."""
 

@@ -196,15 +196,6 @@ class Family:
         return (out_stack @ in_stack).is_zero()
 
 
-def build_family(params: FamilyParams) -> BoundQuiver:
-    return Family(params).bound_quiver
-
-
-def canonical_dimvecs(params: FamilyParams):
-    fam = Family(params)
-    return fam.h1, fam.h2, fam.total_dim
-
-
 def _normalize_label(label, arrow_names, side: str):
     if isinstance(label, str):
         if label in arrow_names:
@@ -263,48 +254,41 @@ class GridRow(Value):
 
 
 class FamilyReport(Value):
-    """Everything the grid verification measured, ready to print.
-
-    Mutable and unhashable: :func:`verify_family` fills in the rows, the
-    minima and the failures after construction.
-    """
+    """Everything the grid verification measured, ready to print."""
 
     __slots__ = _fields = (
         "params", "vertices", "arrows", "relations", "admissible", "triangular",
         "h1", "h2", "total", "tits_h1", "tits_h2", "euler_h1_h2", "euler_h2_h1",
         "tits_total", "glsum_total", "expected_total", "rows", "min_hom_12",
         "min_hom_21", "stratum_dim", "failures")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, params: FamilyParams, vertices: int, arrows: int, relations: int,
                  admissible: bool, triangular: bool, h1: DimVector, h2: DimVector,
                  total: DimVector, tits_h1: int, tits_h2: int, euler_h1_h2: int,
                  euler_h2_h1: int, tits_total: int, glsum_total: int, expected_total: int,
-                 rows: list | None = None, min_hom_12: int = 0, min_hom_21: int = 0,
-                 stratum_dim: int = 0, failures: list | None = None):
-        self.params = params
-        self.vertices = vertices
-        self.arrows = arrows
-        self.relations = relations
-        self.admissible = admissible
-        self.triangular = triangular
-        self.h1 = h1
-        self.h2 = h2
-        self.total = total
-        self.tits_h1 = tits_h1
-        self.tits_h2 = tits_h2
-        self.euler_h1_h2 = euler_h1_h2
-        self.euler_h2_h1 = euler_h2_h1
-        self.tits_total = tits_total
-        self.glsum_total = glsum_total
-        self.expected_total = expected_total
-        self.rows = [] if rows is None else rows
-        self.min_hom_12 = min_hom_12
-        self.min_hom_21 = min_hom_21
-        self.stratum_dim = stratum_dim
-        self.failures = [] if failures is None else failures
+                 rows: tuple, min_hom_12: int, min_hom_21: int, stratum_dim: int,
+                 failures: tuple):
+        _set(self, "params", params)
+        _set(self, "vertices", vertices)
+        _set(self, "arrows", arrows)
+        _set(self, "relations", relations)
+        _set(self, "admissible", admissible)
+        _set(self, "triangular", triangular)
+        _set(self, "h1", h1)
+        _set(self, "h2", h2)
+        _set(self, "total", total)
+        _set(self, "tits_h1", tits_h1)
+        _set(self, "tits_h2", tits_h2)
+        _set(self, "euler_h1_h2", euler_h1_h2)
+        _set(self, "euler_h2_h1", euler_h2_h1)
+        _set(self, "tits_total", tits_total)
+        _set(self, "glsum_total", glsum_total)
+        _set(self, "expected_total", expected_total)
+        _set(self, "rows", rows)            # tuple of GridRow, in grid order
+        _set(self, "min_hom_12", min_hom_12)
+        _set(self, "min_hom_21", min_hom_21)
+        _set(self, "stratum_dim", stratum_dim)
+        _set(self, "failures", failures)    # tuple of messages, in report order
 
     @property
     def all_ok(self) -> bool:
@@ -415,25 +399,14 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
     """
     fam = Family(params)
     bq = fam.bound_quiver
-    quiver = fam.quiver
-    report = FamilyReport(
-        params=params, vertices=len(quiver.vertices), arrows=len(quiver.arrows),
-        relations=len(bq.relations), admissible=bq.is_admissible,
-        triangular=is_triangular(quiver),
-        h1=fam.h1, h2=fam.h2, total=fam.total_dim,
-        tits_h1=tits_form(fam.h1, bq), tits_h2=tits_form(fam.h2, bq),
-        euler_h1_h2=euler_form(fam.h1, fam.h2, bq),
-        euler_h2_h1=euler_form(fam.h2, fam.h1, bq),
-        tits_total=tits_form(fam.total_dim, bq),
-        glsum_total=fam.total_dim.glsum(),
-        expected_total=expected_dim(fam.total_dim, bq),
-    )
     probe = fam.simple_at_b()
     u_labels = [_normalize_label(x, fam.ab_arrow_names, "a-side arm")
                 for x in u_scalars] + list(fam.ab_arrow_names)
     v_labels = [_normalize_label(x, fam.bc_arrow_names, "c-side arm")
                 for x in v_scalars] + list(fam.bc_arrow_names)
-    bound = report.expected_total
+    bound = expected_dim(fam.total_dim, bq)
+    rows = []
+    failures = []
     decomposition_bad = []
     inequality_bad = []
     reps_v, z_v = {}, {}
@@ -447,7 +420,7 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
             m = direct_sum(rep_u, rep_v)
             pair = f"(u={u}, v={v})"
             if not m.is_variety_point(bq):
-                report.failures.append(f"{pair}: direct sum is not a variety point")
+                failures.append(f"{pair}: direct sum is not a variety point")
                 decomposition_bad.append(pair)
                 continue
             stratum = constrained_cocycles(probe, m, bq)
@@ -467,19 +440,32 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
                                             seed, iu, iv),
                 hom_12=uv.hom, hom_21=vu.cols - b_cross,
             )
-            report.rows.append(row)
+            rows.append(row)
             for message, exceeds_bound in row.failed_checks(bound):
-                report.failures.append(f"{pair}: {message}")
+                failures.append(f"{pair}: {message}")
                 (inequality_bad if exceeds_bound else decomposition_bad).append(pair)
-    report.min_hom_12 = min((r.hom_12 for r in report.rows), default=0)
-    report.min_hom_21 = min((r.hom_21 for r in report.rows), default=0)
-    report.stratum_dim = direct_sum_stratum_dim(
+    min_hom_12 = min((r.hom_12 for r in rows), default=0)
+    min_hom_21 = min((r.hom_21 for r in rows), default=0)
+    stratum_dim = direct_sum_stratum_dim(
         expected_dim(fam.h1, bq), expected_dim(fam.h2, bq), fam.h1, fam.h2,
-        report.min_hom_12, report.min_hom_21)
-    if report.stratum_dim != bound:
-        report.failures.append(
-            f"direct-sum stratum dim {report.stratum_dim} != expected_dim {bound}")
+        min_hom_12, min_hom_21)
+    if stratum_dim != bound:
+        failures.append(f"direct-sum stratum dim {stratum_dim} != expected_dim {bound}")
         decomposition_bad.append("stratum cross-check")
+    quiver = fam.quiver
+    report = FamilyReport(
+        params=params, vertices=len(quiver.vertices), arrows=len(quiver.arrows),
+        relations=len(bq.relations), admissible=bq.is_admissible,
+        triangular=is_triangular(quiver),
+        h1=fam.h1, h2=fam.h2, total=fam.total_dim,
+        tits_h1=tits_form(fam.h1, bq), tits_h2=tits_form(fam.h2, bq),
+        euler_h1_h2=euler_form(fam.h1, fam.h2, bq),
+        euler_h2_h1=euler_form(fam.h2, fam.h1, bq),
+        tits_total=tits_form(fam.total_dim, bq),
+        glsum_total=fam.total_dim.glsum(), expected_total=bound,
+        rows=tuple(rows), min_hom_12=min_hom_12, min_hom_21=min_hom_21,
+        stratum_dim=stratum_dim, failures=tuple(failures),
+    )
     if inequality_bad:
         raise InequalityViolated(
             f"dimension bound violated at {', '.join(inequality_bad)}", report)

@@ -3,9 +3,8 @@
 The quantities here compare tangent-space sized upper bounds against the
 naive dimension count of the variety:
 
-* ``expected_dim(d)`` (re-exported from the quiver layer) is the number of
-  arrow entries minus the number of relation equations; it always equals
-  ``dim GL(d) - q(d)``.
+* ``quiver.expected_dim(d)`` is the number of arrow entries minus the
+  number of relation equations; it always equals ``dim GL(d) - q(d)``.
 * For a triangular quiver whose algebra has global dimension at most two
   and a point M with Ext^2(M, M) = 0, the cocycle space Z(M, M) has
   dimension exactly ``expected_dim`` and M is a smooth point of a
@@ -24,16 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._value import Value, _set
-from .errors import HomNotZero, NotAVarietyPoint, QuivrepError
+from .errors import HomNotZero, NotAVarietyPoint
 from .linalg import in_span, independent_subset
-from .quiver import (BoundQuiver, DimVector, euler_form, expected_dim,
-                     is_triangular, tits_form)
+from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular
 from .rep import CocycleElement, Representation, middle_term
-from .homology import (cocycle_space, coboundary_space, ext_report, hom_dim,
-                       orbit_dim)
+from .homology import cocycle_space, coboundary_space, ext_report, hom_dim
 
 __all__ = [
-    "euler_form", "tits_form", "expected_dim", "orbit_dim",
     "regularity_certificate", "RegularityCertificate",
     "constrained_cocycles", "StratumReport", "ext_stratum_tangent_bound",
     "direct_sum_stratum_dim", "bisection_classify",
@@ -193,15 +189,15 @@ def constrained_cocycles(probe: Representation, n: Representation,
 
 
 def ext_stratum_tangent_bound(u: Representation, v: Representation,
-                              bq: BoundQuiver, assert_gldim2: bool = True) -> int:
+                              bq: BoundQuiver) -> int:
     """Tangent bound for the locus of pairs with a fixed ext^1 dimension.
 
     Requires hom(V, U) = 0; the bound is
     expected_dim(dim U) + expected_dim(dim V) - ext^2(V, U), with ext^2
-    from the Euler identity (hence the global-dimension flag).
+    from the Euler identity.  That identity gives Ext^2 only when the
+    algebra has global dimension at most two, which the caller asserts by
+    calling this; nothing here checks it.
     """
-    if not assert_gldim2:
-        raise QuivrepError("tangent bound requires the global-dimension-two assertion")
     rep = ext_report(v, u, bq, assert_gldim2=True)
     if rep.hom != 0:
         raise HomNotZero(f"tangent bound needs hom(V, U) = 0, got {rep.hom}")

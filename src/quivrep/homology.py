@@ -12,7 +12,8 @@ All spaces are cut out by linear systems over the rationals:
   rows - rank of the cocycle system, the dimension of its cokernel; over
   an algebra of global dimension at most two that is ``ext2`` by the
   Euler identity.  :func:`ext_report` is the one place that evaluates
-  these formulas; the other dimension helpers read its result.
+  these formulas, and :func:`ext1_dim` reads its result; :func:`hom_dim`
+  and :func:`orbit_dim` take the one rank of the intertwiner system.
 
 Both systems are written row by row: each nonzero coefficient of a row is
 stored at its own unknown, and every other entry is the shared zero.  The
@@ -118,13 +119,9 @@ def hom_dim(m: Representation, n: Representation) -> int:
     return system.cols - rank(system)
 
 
-def end_dim(m: Representation) -> int:
-    return hom_dim(m, m)
-
-
 def orbit_dim(m: Representation) -> int:
     """Dimension of the base-change orbit: dim GL(d) - dim End(M)."""
-    return m.dim.glsum() - end_dim(m)
+    return m.dim.glsum() - hom_dim(m, m)
 
 
 # -- cocycles and coboundaries ------------------------------------------
@@ -272,20 +269,6 @@ def ext1_dim(v: Representation, u: Representation, bq: BoundQuiver) -> int:
     return ext_report(v, u, bq).ext1
 
 
-def ext2_dim_via_euler(m: Representation, n: Representation, bq: BoundQuiver,
-                       assert_gldim2: bool) -> int | None:
-    """dim Ext^2(M, N) from the Euler identity, if gldim <= 2 is asserted.
-
-    Returns None when the caller does not assert global dimension <= 2.
-    Otherwise returns the cokernel dimension of the relation system,
-    rows - rank of :func:`cocycle_system` (see :func:`ext_report`), which is
-    never negative; it is Ext^2 when gldim <= 2 holds.
-    """
-    if not assert_gldim2:
-        return None
-    return ext_report(m, n, bq, assert_gldim2=True).ext2
-
-
 # -- isomorphism testing -------------------------------------------------
 
 
@@ -309,8 +292,8 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
         raise QuivrepError("representations on different quivers")
     if m.dim != n.dim:
         return "NotIsomorphic"
-    end = end_dim(m)
-    if end != end_dim(n):
+    end = hom_dim(m, m)
+    if end != hom_dim(n, n):
         return "NotIsomorphic"
     basis = hom_basis(m, n)
     if basis.dim != end:

@@ -209,10 +209,6 @@ class Relation(Value):
         return " + ".join(parts)
 
 
-def relation_endpoints(rel: Relation) -> tuple:
-    return (rel.source, rel.target)
-
-
 class BoundQuiver(Value):
     """A quiver together with a finite set of relations on it."""
 
@@ -411,16 +407,15 @@ def support(d: DimVector, quiver: Quiver) -> SupportInfo:
     return SupportInfo(sub, sincere, connected)
 
 
-def classify_dimvector(d: DimVector, bq: BoundQuiver, assume_tame_quasitilted: bool) -> str:
+def classify_dimvector(d: DimVector, bq: BoundQuiver) -> str:
     """Indecomposable count prediction from connectedness and the Tits form.
 
-    Only meaningful when the caller asserts the algebra is tame
-    quasi-tilted (flag); without the flag the verdict is "Unknown".
+    The prediction assumes the algebra is tame quasi-tilted; nothing here
+    checks that, so the caller must know it (``quivrep euler`` prints the
+    verdict only under ``--assume-tame-quasitilted``).
     Verdicts: "NoIndecomposable" (support disconnected or q not in {0,1}),
     "UniqueIndecomposable" (q = 1), "OneParameterFamilies" (q = 0).
     """
-    if not assume_tame_quasitilted:
-        return "Unknown"
     info = support(d, bq.quiver)
     if not info.is_connected:
         return "NoIndecomposable"

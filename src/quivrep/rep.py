@@ -22,7 +22,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from ._value import Value, _set
-from .errors import NotACocycle, NotAVarietyPoint, QuivrepError, ShapeMismatch
+from .errors import NotACocycle, QuivrepError, ShapeMismatch
 from .linalg import MatrixQ, block_matrix
 from .quiver import BoundQuiver, DimVector, Path, Quiver, Relation
 
@@ -98,10 +98,6 @@ def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -
             m = MatrixQ.zeros(*shape)
         out.append(m)
     return Representation.of(quiver, dim, out)
-
-
-def zero_rep(quiver: Quiver) -> Representation:
-    return make_rep(quiver, {v: 0 for v in quiver.vertices})
 
 
 def simple_rep(quiver: Quiver, vertex: str) -> Representation:
@@ -266,8 +262,3 @@ def middle_term(z: CocycleElement, u: Representation, v: Representation,
         lower_zero = MatrixQ.zeros(va.rows, ua.cols)
         mats.append(block_matrix([[ua, za], [lower_zero, va]]))
     return Representation.of(quiver, dim, mats)
-
-
-def require_variety_point(m: Representation, bq: BoundQuiver, what: str = "representation"):
-    if not m.is_variety_point(bq):
-        raise NotAVarietyPoint(f"{what} does not satisfy the relations")

@@ -6,8 +6,6 @@ import pytest
 from quivrep import (
     Family,
     FamilyParams,
-    build_family,
-    canonical_dimvecs,
     conjugate,
     direct_sum,
     euler_form,
@@ -77,14 +75,6 @@ def test_dim_vectors_and_forms_across_params():
         assert euler_form(h1, h2, bq) == 1
         assert euler_form(h2, h1, bq) == 0
         assert tits_form(h1 + h2, bq) == 1
-
-
-def test_canonical_dimvecs_match_family():
-    params = FamilyParams(2, 2, 2, 2, 2)
-    h1, h2, total = canonical_dimvecs(params)
-    fam = Family(params)
-    assert h1 == fam.h1 and h2 == fam.h2 and total == fam.total_dim
-    assert build_family(params).quiver == fam.quiver
 
 
 def test_labelled_reps_are_variety_points():
@@ -161,7 +151,7 @@ def test_verify_family_success_path():
     report = verify_family(FamilyParams(2, 2, 2, 1, 1), seed=3)
     assert report.all_ok
     assert len(report.rows) == 9 * 5
-    assert report.failures == []
+    assert report.failures == ()
     text = report.to_text()
     assert text.endswith("ALL CHECKS PASSED\n")
     assert "hom(S,M)" in text
@@ -177,12 +167,12 @@ def test_verify_family_flags_boundary_pairs():
         verify_family(FamilyParams(2, 2, 2, 2, 2), seed=1)
     report = exc.value.report
     assert report is not None and not report.all_ok
-    assert report.failures == [
+    assert report.failures == (
         "(u=alpha2, v=xi2): direct dim 11 != summand total 10",
         "(u=alpha2, v=xi2): direct dim 11 exceeds bound 10",
         "(u=gamma2, v=delta2): direct dim 11 != summand total 10",
         "(u=gamma2, v=delta2): direct dim 11 exceeds bound 10",
-    ]
+    )
     assert str(exc.value) == (
         "dimension bound violated at (u=alpha2, v=xi2), (u=gamma2, v=delta2)")
     for row in report.rows:

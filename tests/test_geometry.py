@@ -19,7 +19,7 @@ from quivrep import (
     regularity_certificate,
     simple_rep,
 )
-from quivrep.errors import HomNotZero, NotAVarietyPoint, QuivrepError
+from quivrep.errors import HomNotZero, NotAVarietyPoint
 from quivrep.homology import cocycle_space, coboundary_space, hom_dim
 
 from util import random_bound_quiver
@@ -42,17 +42,16 @@ def test_classify_dimvector():
     bq = a2()
     q = bq.quiver
     d11 = DimVector.of(q, (1, 1))
-    assert classify_dimvector(d11, bq, assume_tame_quasitilted=False) == "Unknown"
-    assert classify_dimvector(d11, bq, True) == "UniqueIndecomposable"
+    assert classify_dimvector(d11, bq) == "UniqueIndecomposable"
     kron = BoundQuiver.of(
         Quiver.build(("s", "t"), (Arrow("a1", "s", "t"), Arrow("a2", "s", "t"))), [])
     d = DimVector.of(kron.quiver, (1, 1))
-    assert classify_dimvector(d, kron, True) == "OneParameterFamilies"
+    assert classify_dimvector(d, kron) == "OneParameterFamilies"
     disconnected = DimVector.of(bq.quiver, (1, 0))  # connected support
-    assert classify_dimvector(disconnected, bq, True) == "UniqueIndecomposable"
+    assert classify_dimvector(disconnected, bq) == "UniqueIndecomposable"
     q3 = a3_bound()
     gap = DimVector.of(q3.quiver, (1, 0, 1))
-    assert classify_dimvector(gap, q3, True) == "NoIndecomposable"
+    assert classify_dimvector(gap, q3) == "NoIndecomposable"
 
 
 def test_certificate_on_bound_a3_point():
@@ -125,13 +124,11 @@ def test_ext_stratum_tangent_bound():
     q = bq.quiver
     s1 = simple_rep(q, "v1")
     s2 = simple_rep(q, "v2")
-    with pytest.raises(QuivrepError):
-        ext_stratum_tangent_bound(s1, s2, bq, assert_gldim2=False)
     # hom(v=s2, u=s1) = 0, ext2 = 0: bound = a(e1) + a(e2) - 0 = 0
-    assert ext_stratum_tangent_bound(s1, s2, bq, assert_gldim2=True) == 0
+    assert ext_stratum_tangent_bound(s1, s2, bq) == 0
     with pytest.raises(HomNotZero):
         # hom(s1, s1) != 0
-        ext_stratum_tangent_bound(s1, s1, bq, assert_gldim2=True)
+        ext_stratum_tangent_bound(s1, s1, bq)
 
 
 def test_direct_sum_stratum_dim_formula():
@@ -154,8 +151,8 @@ def test_bisection_classify_on_a2():
     p = make_rep(q, (1, 1), {"al": [[1]]})
     s1 = simple_rep(q, "v1")
     s2 = simple_rep(q, "v2")
-    from quivrep import direct_sum, zero_rep
-    assert bisection_classify(p, zero_rep(q), bq) == "Both"
+    from quivrep import direct_sum
+    assert bisection_classify(p, make_rep(q, {}), bq) == "Both"
     assert bisection_classify(p, s1, bq) == "Both"     # hom(P,S1)=0, ext1=0
     assert bisection_classify(p, s2, bq) == "InT"      # hom(P,S2)=1, ext1=0
     assert bisection_classify(s2, s1, bq) == "InF"     # hom=0, ext1=1

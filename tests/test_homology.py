@@ -12,10 +12,8 @@ from quivrep import (
     cocycle_space,
     conjugate,
     direct_sum,
-    end_dim,
     euler_form,
     ext1_dim,
-    ext2_dim_via_euler,
     ext_report,
     hom_basis,
     hom_dim,
@@ -90,11 +88,11 @@ def test_end_and_orbit_dim():
     one = Quiver.build(("v",), ())
     bq = BoundQuiver.of(one, [])
     ss = make_rep(one, (2,))
-    assert end_dim(ss) == 4
+    assert hom_dim(ss, ss) == 4
     assert orbit_dim(ss) == 0  # GL2 fixes the zero point
     bq2 = a2()
     p = make_rep(bq2.quiver, (1, 1), {"al": [[1]]})
-    assert end_dim(p) == 1
+    assert hom_dim(p, p) == 1
     assert orbit_dim(p) == 1
 
 
@@ -118,9 +116,9 @@ def test_ext2_via_euler_needs_flag():
     q = bq.quiver
     s3 = simple_rep(q, "x3")
     s1 = simple_rep(q, "x1")
-    assert ext2_dim_via_euler(s3, s1, bq, assert_gldim2=False) is None
-    assert ext2_dim_via_euler(s3, s1, bq, assert_gldim2=True) == 1
-    assert ext2_dim_via_euler(s1, s3, bq, assert_gldim2=True) == 0
+    assert ext_report(s3, s1, bq, assert_gldim2=False).ext2 is None
+    assert ext_report(s3, s1, bq, assert_gldim2=True).ext2 == 1
+    assert ext_report(s1, s3, bq, assert_gldim2=True).ext2 == 0
 
 
 def test_ext2_is_cokernel_dim_of_relation_system():
@@ -134,7 +132,6 @@ def test_ext2_is_cokernel_dim_of_relation_system():
         system = cocycle_system(m, n, bq)
         ext2 = ext_report(m, n, bq, assert_gldim2=True).ext2
         assert ext2 == system.rows - rank(system)
-        assert ext2_dim_via_euler(m, n, bq, assert_gldim2=True) == ext2
         with_relations += system.rows > 0
     assert with_relations >= 20
 
@@ -159,7 +156,7 @@ def test_ext_report_internal_consistency():
             for rel in bq.relations:
                 assert twisted_evaluate(el, rel, n, m).is_zero()
         cert = regularity_certificate(m, bq, True)
-        assert cert.end_dim == end_dim(m)
+        assert cert.end_dim == hom_dim(m, m)
         assert cert.orbit_dim == orbit_dim(m)
         assert cert.ext1_self == ext1_dim(m, m, bq)
         assert cert.z_self_dim == cocycle_space(m, m, bq).dim

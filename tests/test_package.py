@@ -63,3 +63,13 @@ def test_cli_process_loads_only_its_layers(tmp_path, argv, first_line):
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(first_line)
+
+
+def test_every_export_is_defined_where_it_is_listed():
+    # One public name per object: a module lists only what it defines.
+    import importlib
+
+    for module, names in quivrep._EXPORTS.items():
+        sub = importlib.import_module(f"quivrep.{module}")
+        for name in (*names, *getattr(sub, "__all__", ())):
+            assert getattr(sub, name).__module__ == f"quivrep.{module}", (module, name)

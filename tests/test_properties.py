@@ -14,7 +14,7 @@ from quivrep import (
     CocycleElement,
     DimVector,
     MatrixQ,
-    build_family,
+    Family,
     FamilyParams,
     euler_form,
     expected_dim,
@@ -34,7 +34,7 @@ from quivrep.rep import cocycle_ambient_dim
 
 from util import hitting_set_point, random_bound_quiver, random_dims
 
-FAMILY_BQ = build_family(FamilyParams(2, 2, 2, 1, 1))
+FAMILY_BQ = Family(FamilyParams(2, 2, 2, 1, 1)).bound_quiver
 
 A3_BQ = parse_quiver(
     "vertex x1\nvertex x2\nvertex x3\n"

@@ -14,7 +14,6 @@ from quivrep import (
     full_subquiver,
     is_triangular,
     minimal_convex,
-    relation_endpoints,
     support,
     tits_form,
 )
@@ -73,7 +72,7 @@ def test_relation_validation():
     full = q.path(["alpha", "beta"])
     rel = Relation.of([(F(1), full)])
     assert rel.source == "x3" and rel.target == "x1"
-    assert relation_endpoints(rel) == ("x3", "x1")
+    assert (rel.source, rel.target) == ("x3", "x1")
     assert rel.is_admissible
     with pytest.raises(QuivrepError):
         Relation.of([(F(0), full)])

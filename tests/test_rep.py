@@ -17,10 +17,9 @@ from quivrep import (
     middle_term,
     simple_rep,
     twisted_evaluate,
-    zero_rep,
 )
-from quivrep.errors import NotACocycle, NotAVarietyPoint, ShapeMismatch
-from quivrep.rep import cocycle_ambient_dim, require_variety_point
+from quivrep.errors import NotACocycle, ShapeMismatch
+from quivrep.rep import cocycle_ambient_dim
 
 
 def a3_bound():
@@ -57,9 +56,6 @@ def test_variety_point_detection():
     bad = make_rep(bq.quiver, (1, 1, 1), {"alpha": [[1]], "beta": [[1]]})
     assert good.is_variety_point(bq)
     assert not bad.is_variety_point(bq)
-    require_variety_point(good, bq)
-    with pytest.raises(NotAVarietyPoint):
-        require_variety_point(bad, bq)
 
 
 def test_direct_sum_blocks():
@@ -92,7 +88,7 @@ def test_conjugate_preserves_relations_and_acts_as_expected():
 
 def test_zero_and_simple():
     q = a3_bound().quiver
-    z = zero_rep(q)
+    z = make_rep(q, {})
     assert z.dim.total == 0
     s = simple_rep(q, "x2")
     assert s.dim.as_dict() == {"x1": 0, "x2": 1, "x3": 0}

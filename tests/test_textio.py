@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from quivrep import (
-    build_family,
+    Family,
     FamilyParams,
     make_rep,
     parse_dimvec,
@@ -130,7 +130,7 @@ def test_parse_dimvec():
 
 
 def test_family_quiver_roundtrip():
-    bq = build_family(FamilyParams(2, 2, 2, 2, 2))
+    bq = Family(FamilyParams(2, 2, 2, 2, 2)).bound_quiver
     text = serialize_quiver(bq)
     assert parse_quiver(text) == bq
 

@@ -83,20 +83,19 @@ def _report():
     return FamilyReport(params=FamilyParams(1, 1, 1, 1, 1), vertices=3, arrows=2,
                         relations=0, admissible=True, triangular=True, h1=d, h2=d,
                         total=d + d, tits_h1=1, tits_h2=1, euler_h1_h2=0, euler_h2_h1=0,
-                        tits_total=2, glsum_total=12, expected_total=8)
+                        tits_total=2, glsum_total=12, expected_total=8, rows=(),
+                        min_hom_12=0, min_hom_21=0, stratum_dim=8, failures=())
 
 
-def test_family_reports_get_fresh_lists_and_stay_mutable():
+def test_family_reports_are_frozen_values():
     first, second = _report(), _report()
-    assert first == second
-    first.rows.append("row")
-    first.failures.append("failure")
-    assert second.rows == [] and second.failures == []
-    assert first != second
-    first.stratum_dim = 8
-    assert first.stratum_dim == 8
-    with pytest.raises(TypeError):
-        hash(first)
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        first.stratum_dim = 7
+    with pytest.raises(AttributeError):
+        first.failures = ("failure",)
+    assert first == second and first.stratum_dim == 8 and first.failures == ()
 
 
 def test_regularity_certificate_supports_dataclasses_replace():
