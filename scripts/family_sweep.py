@@ -21,14 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quivrep import (  # noqa: E402
-    Family,
-    FamilyParams,
-    euler_form,
-    expected_dim,
-    tits_form,
-    verify_family,
-)
+from quivrep import FamilyParams, verify_family  # noqa: E402
 from quivrep.errors import DecompositionMismatch, InequalityViolated  # noqa: E402
 
 
@@ -40,30 +33,25 @@ def parse_params(text: str) -> FamilyParams:
 
 
 def sweep_one(params: FamilyParams, seed: int) -> dict:
-    fam = Family(params)
-    bq = fam.bound_quiver
-    row = {
-        "params": str(params),
-        "forms": (tits_form(fam.h1, bq), tits_form(fam.h2, bq),
-                  euler_form(fam.h1, fam.h2, bq), euler_form(fam.h2, fam.h1, bq)),
-        "tits_total": tits_form(fam.total_dim, bq),
-        "glsum": fam.total_dim.glsum(),
-        "expected": expected_dim(fam.total_dim, bq),
-    }
     start = time.perf_counter()
     try:
         report = verify_family(params, seed=seed)
-        row["verdict"] = "pass"
-        row["rows"] = len(report.rows)
-        row["bad_pairs"] = []
+        verdict = "pass"
     except (DecompositionMismatch, InequalityViolated) as exc:
         report = exc.report
-        row["verdict"] = type(exc).__name__
-        row["rows"] = len(report.rows) if report else 0
-        row["bad_pairs"] = sorted(
-            {line.split(":")[0] for line in (report.failures if report else [])})
-    row["seconds"] = time.perf_counter() - start
-    return row
+        verdict = type(exc).__name__
+    seconds = time.perf_counter() - start
+    return {
+        "params": str(params),
+        "forms": (report.tits_h1, report.tits_h2, report.euler_h1_h2, report.euler_h2_h1),
+        "tits_total": report.tits_total,
+        "glsum": report.glsum_total,
+        "expected": report.expected_total,
+        "verdict": verdict,
+        "rows": len(report.rows),
+        "bad_pairs": sorted({line.split(":")[0] for line in report.failures}),
+        "seconds": seconds,
+    }
 
 
 def main(argv=None) -> int:

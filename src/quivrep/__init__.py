@@ -25,7 +25,7 @@ _EXPORTS = {
                "support", "tits_form"),
     "rep": ("CocycleElement", "Representation", "conjugate", "direct_sum",
             "make_rep", "middle_term", "simple_rep", "twisted_evaluate"),
-    "homology": ("CocycleBasis", "ExtReport", "HomBasis", "coboundary_space",
+    "homology": ("Basis", "ExtReport", "coboundary_space",
                  "cocycle_space", "ext1_dim", "ext_report", "hom_basis", "hom_dim",
                  "iso_probable", "orbit_dim"),
     "geometry": ("RegularityCertificate", "StratumReport", "bisection_classify",

@@ -29,13 +29,6 @@ from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular
 from .rep import CocycleElement, Representation, middle_term
 from .homology import cocycle_space, coboundary_space, ext_report, hom_dim
 
-__all__ = [
-    "regularity_certificate", "RegularityCertificate",
-    "constrained_cocycles", "StratumReport", "ext_stratum_tangent_bound",
-    "direct_sum_stratum_dim", "bisection_classify",
-]
-
-
 @dataclass(frozen=True)
 class RegularityCertificate:
     """Outcome of the smooth-point check at one variety point.
@@ -77,11 +70,12 @@ def regularity_certificate(m: Representation, bq: BoundQuiver,
     """Certify that M is a smooth point of a full-dimensional component.
 
     CertifiedRegular requires: triangular quiver, the caller's
-    global-dimension flag, Ext^2(M, M) = 0 by the Euler formula, and
-    dim Z(M, M) equal to the naive count.  Without the hypotheses the
-    verdict is NotApplicable; with them but Ext^2 != 0 (or a mismatching
-    cocycle dimension) only the bound is reported.  All homological
-    numbers come from one :func:`ext_report` of (M, M).
+    global-dimension flag and Ext^2(M, M) = 0 by the Euler formula.  That
+    also makes dim Z(M, M) the naive count, since z_self_dim - expected is
+    rows - rank of the cocycle system of (M, M), which is ext2_self.
+    Without the hypotheses the verdict is NotApplicable; with them but
+    Ext^2 != 0 only the bound is reported.  All homological numbers come
+    from one :func:`ext_report` of (M, M).
     """
     if not m.is_variety_point(bq):
         raise NotAVarietyPoint("certificate requested at a non-variety point")
@@ -90,7 +84,7 @@ def regularity_certificate(m: Representation, bq: BoundQuiver,
     expected = expected_dim(m.dim, bq)
     verdict = "NotApplicable"
     if triangular and assert_gldim2:
-        if rep.ext2 == 0 and rep.z_dim == expected:
+        if rep.ext2 == 0:
             verdict = "CertifiedRegular"
         else:
             verdict = "BoundOnly"
@@ -107,16 +101,12 @@ def regularity_certificate(m: Representation, bq: BoundQuiver,
 class StratumReport(Value):
     """Constrained cocycle space of N relative to a probe module."""
 
-    __slots__ = _fields = ("hom_to_probe", "ambient_dim", "constrained_dim", "linear",
-                           "basis")
+    __slots__ = _fields = ("hom_to_probe", "constrained_dim", "linear")
 
-    def __init__(self, hom_to_probe: int, ambient_dim: int, constrained_dim: int,
-                 linear: bool, basis: tuple):
+    def __init__(self, hom_to_probe: int, constrained_dim: int, linear: bool):
         _set(self, "hom_to_probe", hom_to_probe)  # hom(probe, N)
-        _set(self, "ambient_dim", ambient_dim)    # dim Z(N, N)
         _set(self, "constrained_dim", constrained_dim)
         _set(self, "linear", linear)  # False when linearity probes failed
-        _set(self, "basis", basis)    # CocycleElement generators of the certified span
 
 
 def constrained_cocycles(probe: Representation, n: Representation,
@@ -179,13 +169,9 @@ def constrained_cocycles(probe: Representation, n: Representation,
             if not linear:
                 break
 
-    if not linear:
-        return StratumReport(hom_to_probe=h, ambient_dim=z_basis.dim,
-                             constrained_dim=z_basis.dim, linear=False,
-                             basis=tuple(z_basis.elements))
-    return StratumReport(hom_to_probe=h, ambient_dim=z_basis.dim,
-                         constrained_dim=len(rows), linear=True,
-                         basis=tuple(span_elements))
+    return StratumReport(hom_to_probe=h,
+                         constrained_dim=len(rows) if linear else z_basis.dim,
+                         linear=linear)
 
 
 def ext_stratum_tangent_bound(u: Representation, v: Representation,

@@ -33,9 +33,8 @@ from fractions import Fraction
 from ._value import Value, _set
 from .errors import QuivrepError
 from .linalg import MatrixQ, image_basis, is_invertible, kernel_basis, rank, seeded_rng
-from .quiver import BoundQuiver, DimVector, euler_form
-from .rep import (CocycleElement, Representation, cocycle_ambient_dim,
-                  twisted_factors)
+from .quiver import BoundQuiver, euler_form
+from .rep import CocycleElement, Representation, twisted_factors
 
 # Builders start every row as [_ZERO] * cols.  A cell that still holds this
 # very object has not been written, so its first write is a plain store and
@@ -83,22 +82,21 @@ def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
     return MatrixQ(len(rows), total, tuple(rows))
 
 
-class HomBasis(Value):
-    """A basis of Hom(M, N): each element is one matrix per vertex."""
+class Basis(Value):
+    """A basis of a subspace: a tuple of Hom families or of cocycle elements."""
 
-    __slots__ = _fields = ("source", "target", "elements")
+    __slots__ = _fields = ("elements",)
 
-    def __init__(self, source: Representation, target: Representation, elements: tuple):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "elements", elements)  # tuple of dicts vertex -> MatrixQ
+    def __init__(self, elements: tuple):
+        _set(self, "elements", elements)
 
     @property
     def dim(self) -> int:
         return len(self.elements)
 
 
-def hom_basis(m: Representation, n: Representation) -> HomBasis:
+def hom_basis(m: Representation, n: Representation) -> Basis:
+    """Basis of Hom(M, N): one dict vertex -> MatrixQ per kernel vector."""
     system = intertwiner_matrix(m, n)
     quiver = m.quiver
     elements = []
@@ -111,7 +109,7 @@ def hom_basis(m: Representation, n: Representation) -> HomBasis:
             fam[v] = MatrixQ(r, c, rows)
             pos += r * c
         elements.append(fam)
-    return HomBasis(m, n, tuple(elements))
+    return Basis(tuple(elements))
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -125,24 +123,6 @@ def orbit_dim(m: Representation) -> int:
 
 
 # -- cocycles and coboundaries ------------------------------------------
-
-
-class CocycleBasis(Value):
-    """Basis of a subspace of the cocycle ambient for the pair (V, U)."""
-
-    __slots__ = _fields = ("quiver", "sub_dim", "quot_dim", "elements", "ambient_dim")
-
-    def __init__(self, quiver, sub_dim: DimVector, quot_dim: DimVector, elements: tuple,
-                 ambient_dim: int):
-        _set(self, "quiver", quiver)
-        _set(self, "sub_dim", sub_dim)    # dimension vector of U
-        _set(self, "quot_dim", quot_dim)  # dimension vector of V
-        _set(self, "elements", elements)  # tuple of CocycleElement
-        _set(self, "ambient_dim", ambient_dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
 
 
 def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> MatrixQ:
@@ -186,15 +166,14 @@ def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> Mat
     return MatrixQ(len(rows), total, tuple(rows))
 
 
-def cocycle_space(v: Representation, u: Representation, bq: BoundQuiver) -> CocycleBasis:
-    """Basis of Z(V, U), the cocycles for extensions of V by U."""
+def cocycle_space(v: Representation, u: Representation, bq: BoundQuiver) -> Basis:
+    """Basis of Z(V, U), the cocycles for extensions of V by U: ker cocycle_system."""
     system = cocycle_system(v, u, bq)
     quiver = bq.quiver
     elements = tuple(
         CocycleElement.from_flat(quiver, u.dim, v.dim, vec)
         for vec in kernel_basis(system))
-    return CocycleBasis(quiver, u.dim, v.dim, elements,
-                        cocycle_ambient_dim(quiver, u.dim, v.dim))
+    return Basis(elements)
 
 
 def coboundary_matrix(v: Representation, u: Representation) -> MatrixQ:
@@ -207,15 +186,14 @@ def coboundary_matrix(v: Representation, u: Representation) -> MatrixQ:
     return intertwiner_matrix(v, u)
 
 
-def coboundary_space(v: Representation, u: Representation) -> CocycleBasis:
-    """Basis of B(V, U), the coboundaries inside the cocycle ambient."""
+def coboundary_space(v: Representation, u: Representation) -> Basis:
+    """Basis of B(V, U), the coboundaries in the cocycle ambient: im intertwiner_matrix."""
     quiver = u.quiver
     delta = intertwiner_matrix(v, u)
     elements = tuple(
         CocycleElement.from_flat(quiver, u.dim, v.dim, vec)
         for vec in image_basis(delta))
-    return CocycleBasis(quiver, u.dim, v.dim, elements,
-                        cocycle_ambient_dim(quiver, u.dim, v.dim))
+    return Basis(elements)
 
 
 class ExtReport(Value):
@@ -231,12 +209,6 @@ class ExtReport(Value):
         _set(self, "ext1", ext1)
         _set(self, "euler", euler)
         _set(self, "ext2", ext2)
-
-    def check_internal(self) -> bool:
-        ok = self.ext1 == self.z_dim - self.b_dim and self.ext1 >= 0
-        if self.ext2 is not None:
-            ok = ok and self.euler == self.hom - self.ext1 + self.ext2
-        return ok
 
 
 def ext_report(m: Representation, n: Representation, bq: BoundQuiver,

@@ -329,19 +329,6 @@ def independent_subset(vectors):
     return [tuple(v) for v in kept]
 
 
-def solve_right(m: MatrixQ, rhs: Sequence[Fraction]):
-    """One solution x of m x = rhs, or None if inconsistent."""
-    aug = MatrixQ(m.rows, m.cols + 1, tuple(
-        row + (_as_fraction(b),) for row, b in zip(m.data, rhs)))
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.data[r][m.cols]
-    return tuple(x)
-
-
 def inverse(m: MatrixQ) -> MatrixQ:
     if m.rows != m.cols:
         raise ShapeMismatch("inverse of a non-square matrix")

@@ -48,6 +48,81 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+# vertex a <- x - b <- y - c: the path x.y runs from c to a.
+A3_TEXT = "vertex a\nvertex b\nvertex c\narrow x b a\narrow y c b\n"
+A2_AB_TEXT = "vertex a\nvertex b\narrow x b a\n"
+
+# (quiver file, rep file or None, reason): every reachable ParseError of a
+# quiver or rep file that no other test here raises.
+MALFORMED_FILES = [
+    ("vertex\n", None, "line 1: vertex line needs exactly one name"),
+    ("vertex a\narrow x a\n", None, "line 2: arrow line needs name, source, target"),
+    ("vertex a\narrow x a a\narrow x a a\n", None, "line 3: duplicate arrow 'x'"),
+    ("vertex a\narrow x b a\n", None, "line 2: arrow source 'b' not a declared vertex"),
+    ("vertex a\narrow x a b\n", None, "line 2: arrow target 'b' not a declared vertex"),
+    ("vertex a\nedge a a\n", None, "line 2: unknown directive 'edge'"),
+    (A3_TEXT + "rel\n", None, "line 6: empty relation"),
+    (A3_TEXT + "rel x.y + + x.y\n", None, "line 6: two consecutive signs in relation"),
+    (A3_TEXT + "rel x.y x.y\n", None, "line 6: missing '+' or '-' before 'x.y'"),
+    (A3_TEXT + "rel q*x.y\n", None, "line 6: bad rational 'q'"),
+    (A3_TEXT + "rel 1/0*x.y\n", None, "line 6: bad rational '1/0'"),
+    (A3_TEXT + "rel 1*x..y\n", None, "line 6: malformed path 'x..y'"),
+    (A3_TEXT + "rel 1*x.z\n", None, "line 6: unknown arrow 'z' in relation"),
+    (A3_TEXT + "rel 1*y.x\n", None,
+     "line 6: non-composable path: y (source c) cannot follow x (target a)"),
+    (A3_TEXT + "rel 0*x.y\n", None, "line 6: zero coefficient in relation"),
+    (A3_TEXT + "rel x.y +\n", None, "line 6: relation ends with a dangling sign"),
+    (A2_AB_TEXT, "dim a\n", "line 1: dim line needs vertex and value"),
+    (A2_AB_TEXT, "dim z 1\n", "line 1: unknown vertex 'z'"),
+    (A2_AB_TEXT, "dim a 1\ndim a 1\n", "line 2: duplicate dim for vertex 'a'"),
+    (A2_AB_TEXT, "dim a one\n", "line 1: bad integer 'one'"),
+    (A2_AB_TEXT, "dim a -1\n", "line 1: dimensions must be nonnegative"),
+    (A2_AB_TEXT, "size a 1\n", "line 1: unknown directive 'size'"),
+    (A2_AB_TEXT, "mat x 0 0 0\n", "line 1: mat line needs: name rows cols : entries"),
+    (A2_AB_TEXT, "mat z 0 0 :\n", "line 1: unknown arrow 'z'"),
+    (A2_AB_TEXT, "dim a 1\ndim b 1\nmat x 1 1 : 1\nmat x 1 1 : 1\n",
+     "line 4: duplicate matrix for arrow 'x'"),
+    (A2_AB_TEXT, "mat x one 0 :\n", "line 1: matrix shape must be two integers"),
+    (A2_AB_TEXT, "dim a 1\nmat x 1 1 : 1\n",
+     "line 2: arrow 'x': declared shape (1, 1), dimensions require (1, 0)"),
+    (A2_AB_TEXT, "dim a 1\ndim b 1\nmat x 1 1 : q\n", "line 3: bad rational 'q'"),
+    (A2_AB_TEXT, "dim a 1\ndim b 1\nmat x 1 1 : 1 2\n",
+     "line 3: arrow 'x': expected 1 entries, got 2"),
+]
+
+# (--dim value, reason) for `quivrep euler` on A2_AB_TEXT.
+MALFORMED_DIMS = [
+    ("a", "line 1: expected vertex=value, got 'a'"),
+    ("z=1", "line 1: unknown vertex 'z'"),
+    ("a=1,a=2", "line 1: duplicate vertex 'a'"),
+    ("a=one", "line 1: bad integer 'one'"),
+    ("a=-1", "line 1: dimension vector entries must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("quiver_text, rep_text, reason", MALFORMED_FILES)
+def test_validate_malformed_file_exits_2(tmp_path, capsys, quiver_text, rep_text, reason):
+    # A rep file is read after the quiver's summary line is printed.
+    argv = ["validate", "--quiver", write(tmp_path, "q.quiver", quiver_text)]
+    out = ""
+    if rep_text is not None:
+        argv += ["--rep", write(tmp_path, "m.rep", rep_text)]
+        out = "quiver OK: vertices=2 arrows=1 relations=0 admissible=yes triangular=yes\n"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == f"parse error: {reason}\n"
+
+
+@pytest.mark.parametrize("dim, reason", MALFORMED_DIMS)
+def test_euler_malformed_dim_exits_2(tmp_path, capsys, dim, reason):
+    q = write(tmp_path, "q.quiver", A2_AB_TEXT)
+    assert main(["euler", "--quiver", q, "--dim", dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {reason}\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["validate", "--quiver", str(tmp_path / "nope.quiver")]) == 2
     assert "cannot read" in capsys.readouterr().err

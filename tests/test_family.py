@@ -9,7 +9,6 @@ from quivrep import (
     conjugate,
     direct_sum,
     euler_form,
-    expected_dim,
     coboundary_space,
     cocycle_space,
     hom_dim,
@@ -188,6 +187,29 @@ def test_verify_family_flags_boundary_pairs():
                    if row.u not in arrows and row.v not in arrows]
     assert len(scalar_rows) == 9
     assert all(row.direct == 10 for row in scalar_rows)
+
+
+def test_verify_family_raises_decomposition_mismatch(monkeypatch):
+    import quivrep.family
+    from quivrep.geometry import StratumReport
+
+    real = quivrep.family.constrained_cocycles
+    calls = []
+
+    def under_report_first_pair(probe, n, bq):
+        stratum = real(probe, n, bq)
+        calls.append(n)
+        if len(calls) > 1:
+            return stratum
+        return StratumReport(stratum.hom_to_probe, stratum.constrained_dim - 1,
+                             stratum.linear)
+
+    monkeypatch.setattr(quivrep.family, "constrained_cocycles", under_report_first_pair)
+    with pytest.raises(DecompositionMismatch) as exc:
+        verify_family(FamilyParams(1, 1, 1, 1, 1))
+    assert str(exc.value) == "decomposition failed at (u=2, v=2)"
+    assert exc.value.report is not None and not exc.value.report.all_ok
+    assert exc.value.report.failures == ("(u=2, v=2): direct dim 4 != summand total 5",)
 
 
 def test_verify_family_deterministic():

@@ -13,16 +13,15 @@ from quivrep import (
     classify_dimvector,
     constrained_cocycles,
     direct_sum_stratum_dim,
-    expected_dim,
     ext_stratum_tangent_bound,
     make_rep,
     regularity_certificate,
     simple_rep,
 )
 from quivrep.errors import HomNotZero, NotAVarietyPoint
-from quivrep.homology import cocycle_space, coboundary_space, hom_dim
+from quivrep.homology import cocycle_space, coboundary_space
 
-from util import random_bound_quiver
+from util import hitting_set_point, random_bound_quiver, random_dims
 
 
 def a2():
@@ -89,12 +88,27 @@ def test_certificate_requires_variety_point():
         regularity_certificate(bad, bq, assert_gldim2=True)
 
 
+def test_certificate_cocycle_excess_is_ext2():
+    # z_self_dim - expected is rows - rank of the cocycle system of (M, M),
+    # which is ext2_self, so Ext^2 = 0 alone also gives dim Z(M, M) = expected.
+    rng = Random(73)
+    excess = 0
+    for _ in range(120):
+        bq = random_bound_quiver(rng)
+        m = hitting_set_point(rng, bq, random_dims(rng, bq.quiver))
+        cert = regularity_certificate(m, bq, assert_gldim2=True)
+        assert cert.z_self_dim - cert.expected == cert.ext2_self
+        assert cert.verdict == ("CertifiedRegular" if cert.z_self_dim == cert.expected
+                                else "BoundOnly")
+        excess += cert.ext2_self > 0
+    assert excess >= 10
+
+
 def test_constrained_cocycles_contains_coboundaries():
     rng = Random(31)
     checked = 0
     while checked < 20:
         bq = random_bound_quiver(rng, max_vertices=4, max_arrows=4)
-        from util import hitting_set_point, random_dims
         n = hitting_set_point(rng, bq, random_dims(rng, bq.quiver, 2))
         probe = simple_rep(bq.quiver, rng.choice(bq.quiver.vertices))
         report = constrained_cocycles(probe, n, bq)

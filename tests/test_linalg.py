@@ -20,7 +20,6 @@ from quivrep.linalg import (
     rank,
     rref,
     seeded_rng,
-    solve_right,
     vstack,
 )
 
@@ -121,21 +120,14 @@ def test_kron_vec_identity():
         assert [vec_l[k, 0] for k in range(m * q)] == flat
 
 
-def test_solve_right_and_inverse():
+def test_inverse():
     a = M([[2, 1], [1, 1]])
-    x = solve_right(a, (F(1), F(0)))
-    assert x is not None and (a @ _as_column(x)) == _as_column((F(1), F(0)))
     ainv = inverse(a)
     assert a @ ainv == MatrixQ.identity(2)
     assert is_invertible(a)
     assert not is_invertible(M([[1, 1], [1, 1]]))
     with pytest.raises(ShapeMismatch):
         inverse(M([[1, 1], [1, 1]]))
-
-
-def test_solve_right_inconsistent():
-    a = M([[1, 0], [1, 0]])
-    assert solve_right(a, (F(1), F(0))) is None
 
 
 def test_independent_subset_and_span():

@@ -71,5 +71,6 @@ def test_every_export_is_defined_where_it_is_listed():
 
     for module, names in quivrep._EXPORTS.items():
         sub = importlib.import_module(f"quivrep.{module}")
-        for name in (*names, *getattr(sub, "__all__", ())):
+        assert not hasattr(sub, "__all__"), module  # _EXPORTS is the one list
+        for name in names:
             assert getattr(sub, name).__module__ == f"quivrep.{module}", (module, name)

@@ -20,7 +20,6 @@ from quivrep import (
     expected_dim,
     kernel_basis,
     kron,
-    make_rep,
     parse_quiver,
     parse_rep,
     rank,
@@ -29,7 +28,7 @@ from quivrep import (
     tits_form,
     twisted_evaluate,
 )
-from quivrep.linalg import rref, solve_right
+from quivrep.linalg import rref
 from quivrep.rep import cocycle_ambient_dim
 
 from util import hitting_set_point, random_bound_quiver, random_dims
@@ -74,17 +73,6 @@ def test_kernel_vectors_annihilate(m):
     assert len(basis) == m.cols - rank(m)
     for v in basis:
         assert (m @ _column(v)).is_zero()
-
-
-@settings(derandomize=True, deadline=None, max_examples=50)
-@given(matrices(), st.data())
-def test_solve_right_recovers_consistent_rhs(m, data):
-    x = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
-    rhs = m @ _column(x)
-    flat_rhs = tuple(rhs[i, 0] for i in range(m.rows))
-    y = solve_right(m, flat_rhs)
-    assert y is not None
-    assert m @ _column(y) == rhs
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -102,6 +102,14 @@ rel 1*f.g - 1*f.h
     assert "1*f.g - 1*f.h" in serialize_quiver(bq)
 
 
+def test_coefficient_free_term_has_coefficient_one():
+    square = ("vertex w\nvertex x\nvertex y\nvertex z\n"
+              "arrow a x w\narrow b z x\narrow c y w\narrow d z y\n")
+    bare = parse_quiver(square + "rel a.b - c.d\n")
+    assert bare == parse_quiver(square + "rel 1*a.b - 1*c.d\n")
+    assert [c for c, _ in bare.relations[0].terms] == [F(1), F(-1)]
+
+
 def test_rep_roundtrip_and_shape_check():
     bq = parse_quiver(BOUND_TEXT)
     m = make_rep(bq.quiver, (1, 2, 1),

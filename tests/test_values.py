@@ -70,6 +70,10 @@ def test_frozen_fields_refuse_assignment_and_deletion():
         assert getattr(value, field) == before
 
 
+def test_repr_names_every_field_in_constructor_order():
+    assert repr(FamilyParams(1, 2, 3, 4, 5)) == "FamilyParams(p=1, q=2, r=3, s=4, t=5)"
+
+
 def test_family_params_validation():
     with pytest.raises(QuivrepError):
         FamilyParams(0, 1, 1, 1, 1)
