@@ -1,13 +1,16 @@
 """The base class of the package's immutable value types.
 
 A value type names its fields, in constructor order, in a ``_fields``
-tuple (usually also its ``__slots__``) and assigns them in an explicit
-``__init__`` through ``_set = object.__setattr__``.  :class:`Value`
-derives from that tuple what a frozen dataclass would generate: equality
-between instances of one class with equal fields, a hash of the fields,
-the ``Name(field=value, ...)`` repr, and an AttributeError on assignment
-or deletion.  The field getter is an ``operator.attrgetter`` built once,
-when the class is defined; nothing here inspects an instance at run time.
+tuple (usually also its ``__slots__``).  :class:`Value` derives from that
+tuple what a frozen dataclass would generate: a constructor that binds
+positionals, then keywords, in field order and raises TypeError on a
+missing, unknown or twice-given field; equality between instances of one
+class with equal fields; a hash of the fields; the
+``Name(field=value, ...)`` repr; and an AttributeError on assignment or
+deletion.  A validating subclass checks its arguments, then calls
+``super().__init__``; ``linalg.MatrixQ``, built in hot loops, writes its
+constructor out with ``_set = object.__setattr__``.  The field getter is
+an ``operator.attrgetter`` built once, when the class is defined.
 """
 
 from operator import attrgetter
@@ -23,6 +26,21 @@ class Value:
         super().__init_subclass__(**kwargs)
         # attrgetter is not a descriptor: self._values(self) calls it as is.
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} fields, "
+                            f"got {len(args)} positionals")
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        for name in fields[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
+            _set(self, name, kwargs.pop(name))
+        for name in kwargs:
+            problem = "given twice" if name in fields else "unknown"
+            raise TypeError(f"{type(self).__qualname__}() field {name!r} {problem}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

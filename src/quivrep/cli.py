@@ -4,7 +4,8 @@ Subcommands: validate, invariants, euler, certify, family, paper-verify,
 iso.  Exit codes: 0 on success (or a verified positive answer), 1 when a
 verification produced a negative/unproven answer, 2 on usage or parse
 errors.  Reports go to stdout, diagnostics to stderr; all output is
-deterministic for fixed inputs and seeds.
+deterministic for fixed inputs and seeds.  A handler's stdout is held
+back until it returns, so a call that exits 2 prints nothing to stdout.
 
 Each handler imports what it runs from ``family``, ``geometry`` and
 ``homology`` when it is called, so a process loads only the layers of its
@@ -16,6 +17,8 @@ which imports ``homology``; ``family`` and ``paper-verify`` load all three.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -149,20 +152,22 @@ def _cmd_family(args) -> int:
     print(f"euler(h2,h1) = {euler_form(fam.h2, fam.h1, bq)}")
     print(f"tits(total) = {tits_form(fam.total_dim, bq)}")
     print(f"expected_dim(total) = {expected_dim(fam.total_dim, bq)}")
+    # Every text is built before the first write, so a bad label writes no file.
+    emits = []
     if args.emit_quiver:
-        _write(args.emit_quiver, serialize_quiver(bq))
-        print(f"wrote quiver file: {args.emit_quiver}")
+        emits.append((args.emit_quiver, serialize_quiver(bq), "quiver file"))
     if args.emit_h1:
         label, path = args.emit_h1
-        _write(path, serialize_rep(fam.rep_h1(label)))
-        print(f"wrote h1 representation ({label}): {path}")
+        emits.append((path, serialize_rep(fam.rep_h1(label)), f"h1 representation ({label})"))
     if args.emit_h2:
         label, path = args.emit_h2
-        _write(path, serialize_rep(fam.rep_h2(label)))
-        print(f"wrote h2 representation ({label}): {path}")
+        emits.append((path, serialize_rep(fam.rep_h2(label)), f"h2 representation ({label})"))
     if args.emit_simple:
-        _write(args.emit_simple, serialize_rep(fam.simple_at_b()))
-        print(f"wrote simple-at-b representation: {args.emit_simple}")
+        emits.append((args.emit_simple, serialize_rep(fam.simple_at_b()),
+                      "simple-at-b representation"))
+    for path, text, what in emits:
+        _write(path, text)
+        print(f"wrote {what}: {path}")
     return 0
 
 
@@ -300,14 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except QuivrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

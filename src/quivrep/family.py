@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import (DecompositionMismatch, InequalityViolated, InvalidLabel,
                      QuivrepError, WrongDimension)
 from .linalg import hstack, random_invertible, rank, seeded_rng, vstack
@@ -49,11 +49,7 @@ class FamilyParams(Value):
         for name, value in zip(self._fields, (p, q, r, s, t)):
             if value < 1:
                 raise QuivrepError(f"arm length {name} must be at least 1")
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "r", r)
-        _set(self, "s", s)
-        _set(self, "t", t)
+        super().__init__(p, q, r, s, t)
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r},{self.s},{self.t})"
@@ -217,22 +213,6 @@ class GridRow(Value):
     __slots__ = _fields = ("u", "v", "hom_probe", "z_h1h1", "z_h2h2", "z_cross", "b_cross",
                            "direct", "linear", "audit_ok", "hom_12", "hom_21")
 
-    def __init__(self, u: str, v: str, hom_probe: int, z_h1h1: int, z_h2h2: int,
-                 z_cross: int, b_cross: int, direct: int, linear: bool, audit_ok: bool,
-                 hom_12: int, hom_21: int):
-        _set(self, "u", u)
-        _set(self, "v", v)
-        _set(self, "hom_probe", hom_probe)
-        _set(self, "z_h1h1", z_h1h1)
-        _set(self, "z_h2h2", z_h2h2)
-        _set(self, "z_cross", z_cross)
-        _set(self, "b_cross", b_cross)
-        _set(self, "direct", direct)
-        _set(self, "linear", linear)
-        _set(self, "audit_ok", audit_ok)
-        _set(self, "hom_12", hom_12)
-        _set(self, "hom_21", hom_21)
-
     @property
     def summand_total(self) -> int:
         return self.z_h1h1 + self.z_h2h2 + self.z_cross + self.b_cross
@@ -254,41 +234,16 @@ class GridRow(Value):
 
 
 class FamilyReport(Value):
-    """Everything the grid verification measured, ready to print."""
+    """Everything the grid verification measured, ready to print.
+
+    `rows` holds GridRows in grid order, `failures` messages in report order.
+    """
 
     __slots__ = _fields = (
         "params", "vertices", "arrows", "relations", "admissible", "triangular",
         "h1", "h2", "total", "tits_h1", "tits_h2", "euler_h1_h2", "euler_h2_h1",
         "tits_total", "glsum_total", "expected_total", "rows", "min_hom_12",
         "min_hom_21", "stratum_dim", "failures")
-
-    def __init__(self, params: FamilyParams, vertices: int, arrows: int, relations: int,
-                 admissible: bool, triangular: bool, h1: DimVector, h2: DimVector,
-                 total: DimVector, tits_h1: int, tits_h2: int, euler_h1_h2: int,
-                 euler_h2_h1: int, tits_total: int, glsum_total: int, expected_total: int,
-                 rows: tuple, min_hom_12: int, min_hom_21: int, stratum_dim: int,
-                 failures: tuple):
-        _set(self, "params", params)
-        _set(self, "vertices", vertices)
-        _set(self, "arrows", arrows)
-        _set(self, "relations", relations)
-        _set(self, "admissible", admissible)
-        _set(self, "triangular", triangular)
-        _set(self, "h1", h1)
-        _set(self, "h2", h2)
-        _set(self, "total", total)
-        _set(self, "tits_h1", tits_h1)
-        _set(self, "tits_h2", tits_h2)
-        _set(self, "euler_h1_h2", euler_h1_h2)
-        _set(self, "euler_h2_h1", euler_h2_h1)
-        _set(self, "tits_total", tits_total)
-        _set(self, "glsum_total", glsum_total)
-        _set(self, "expected_total", expected_total)
-        _set(self, "rows", rows)            # tuple of GridRow, in grid order
-        _set(self, "min_hom_12", min_hom_12)
-        _set(self, "min_hom_21", min_hom_21)
-        _set(self, "stratum_dim", stratum_dim)
-        _set(self, "failures", failures)    # tuple of messages, in report order
 
     @property
     def all_ok(self) -> bool:

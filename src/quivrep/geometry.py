@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import HomNotZero, NotAVarietyPoint
 from .linalg import in_span, independent_subset
 from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular
@@ -99,14 +99,12 @@ def regularity_certificate(m: Representation, bq: BoundQuiver,
 
 
 class StratumReport(Value):
-    """Constrained cocycle space of N relative to a probe module."""
+    """Constrained cocycle space of N relative to a probe module.
+
+    `hom_to_probe` is hom(probe, N); `linear` is False when linearity probes failed.
+    """
 
     __slots__ = _fields = ("hom_to_probe", "constrained_dim", "linear")
-
-    def __init__(self, hom_to_probe: int, constrained_dim: int, linear: bool):
-        _set(self, "hom_to_probe", hom_to_probe)  # hom(probe, N)
-        _set(self, "constrained_dim", constrained_dim)
-        _set(self, "linear", linear)  # False when linearity probes failed
 
 
 def constrained_cocycles(probe: Representation, n: Representation,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import QuivrepError
 from .linalg import MatrixQ, image_basis, is_invertible, kernel_basis, rank, seeded_rng
 from .quiver import BoundQuiver, euler_form
@@ -86,9 +86,6 @@ class Basis(Value):
     """A basis of a subspace: a tuple of Hom families or of cocycle elements."""
 
     __slots__ = _fields = ("elements",)
-
-    def __init__(self, elements: tuple):
-        _set(self, "elements", elements)
 
     @property
     def dim(self) -> int:
@@ -200,15 +197,6 @@ class ExtReport(Value):
     """Bundle of the homological invariants of an ordered pair (M, N)."""
 
     __slots__ = _fields = ("hom", "z_dim", "b_dim", "ext1", "euler", "ext2")
-
-    def __init__(self, hom: int, z_dim: int, b_dim: int, ext1: int, euler: int,
-                 ext2: int | None):
-        _set(self, "hom", hom)
-        _set(self, "z_dim", z_dim)
-        _set(self, "b_dim", b_dim)
-        _set(self, "ext1", ext1)
-        _set(self, "euler", euler)
-        _set(self, "ext2", ext2)
 
 
 def ext_report(m: Representation, n: Representation, bq: BoundQuiver,

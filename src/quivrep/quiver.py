@@ -20,17 +20,12 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import MixedEndpoints, NonComposable, QuivrepError
 
 
 class Arrow(Value):
     __slots__ = _fields = ("name", "source", "target")
-
-    def __init__(self, name: str, source: str, target: str):
-        _set(self, "name", name)
-        _set(self, "source", source)
-        _set(self, "target", target)
 
 
 class Quiver(Value):
@@ -40,10 +35,6 @@ class Quiver(Value):
     """
 
     _fields = ("vertices", "arrows")
-
-    def __init__(self, vertices: tuple, arrows: tuple):
-        _set(self, "vertices", vertices)
-        _set(self, "arrows", arrows)
 
     @staticmethod
     def build(vertices: Sequence[str], arrows: Sequence) -> "Quiver":
@@ -86,14 +77,9 @@ class Quiver(Value):
 
 
 class Path(Value):
-    """A composable word of arrows, or a trivial path at `base`."""
+    """A composable word of arrows, or a trivial path at `base`; `base` is set exactly then."""
 
     __slots__ = _fields = ("quiver", "arrow_names", "base")
-
-    def __init__(self, quiver: Quiver, arrow_names: tuple, base: str | None = None):
-        _set(self, "quiver", quiver)
-        _set(self, "arrow_names", arrow_names)
-        _set(self, "base", base)  # set exactly when the path is trivial
 
     @staticmethod
     def of(quiver: Quiver, arrow_names: Sequence[str]) -> "Path":
@@ -150,12 +136,9 @@ def compose_paths(p1: Path, p2: Path) -> Path:
 
 
 class Relation(Value):
-    """A linear combination sum_i coeff_i * path_i with common endpoints."""
+    """A linear combination of (Fraction, Path) `terms` with common endpoints."""
 
     __slots__ = _fields = ("terms",)
-
-    def __init__(self, terms: tuple):
-        _set(self, "terms", terms)  # tuple of (Fraction, Path)
 
     @staticmethod
     def of(terms: Sequence) -> "Relation":
@@ -214,10 +197,6 @@ class BoundQuiver(Value):
 
     __slots__ = _fields = ("quiver", "relations")
 
-    def __init__(self, quiver: Quiver, relations: tuple):
-        _set(self, "quiver", quiver)
-        _set(self, "relations", relations)
-
     @staticmethod
     def of(quiver: Quiver, relations: Sequence[Relation]) -> "BoundQuiver":
         rels = tuple(relations)
@@ -236,10 +215,6 @@ class DimVector(Value):
     """A nonnegative integer per vertex, stored in declaration order."""
 
     __slots__ = _fields = ("quiver", "entries")
-
-    def __init__(self, quiver: Quiver, entries: tuple):
-        _set(self, "quiver", quiver)
-        _set(self, "entries", entries)
 
     @staticmethod
     def of(quiver: Quiver, values) -> "DimVector":
@@ -350,12 +325,13 @@ def minimal_convex(quiver: Quiver, seed_vertices) -> tuple:
     """Smallest convex vertex set containing the seeds.
 
     Convex means closed under interiors of paths between members.  The
-    closure adds every vertex that is simultaneously reachable from a
-    member and able to reach a member, repeated to a fixed point.  Returns
-    the vertices in declaration order.
+    hull is every vertex reachable from a seed that reaches a seed: each
+    lies on a path between two seeds, and a vertex on a path between two
+    members is again one, so one pass is convex and minimal.  Returns the
+    vertices in declaration order.
     """
-    current = set(seed_vertices)
-    for v in current:
+    seeds = set(seed_vertices)
+    for v in seeds:
         if v not in quiver.vertex_index:
             raise QuivrepError(f"unknown vertex {v!r}")
     forward = {v: [] for v in quiver.vertices}
@@ -363,12 +339,8 @@ def minimal_convex(quiver: Quiver, seed_vertices) -> tuple:
     for a in quiver.arrows:
         forward[a.source].append(a.target)
         backward[a.target].append(a.source)
-    while True:
-        closed = _reach(forward, current) & _reach(backward, current)
-        if closed == current:
-            break
-        current = closed
-    return tuple(v for v in quiver.vertices if v in current)
+    hull = _reach(forward, seeds) & _reach(backward, seeds)
+    return tuple(v for v in quiver.vertices if v in hull)
 
 
 def full_subquiver(quiver: Quiver, vertex_subset) -> Quiver:
@@ -381,11 +353,6 @@ def full_subquiver(quiver: Quiver, vertex_subset) -> Quiver:
 
 class SupportInfo(Value):
     __slots__ = _fields = ("subquiver", "is_sincere", "is_connected")
-
-    def __init__(self, subquiver: Quiver, is_sincere: bool, is_connected: bool):
-        _set(self, "subquiver", subquiver)
-        _set(self, "is_sincere", is_sincere)
-        _set(self, "is_connected", is_connected)
 
 
 def support(d: DimVector, quiver: Quiver) -> SupportInfo:

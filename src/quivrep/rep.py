@@ -21,21 +21,16 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import NotACocycle, QuivrepError, ShapeMismatch
 from .linalg import MatrixQ, block_matrix
 from .quiver import BoundQuiver, DimVector, Path, Quiver, Relation
 
 
 class Representation(Value):
-    """Matrices for every arrow, stored in arrow declaration order."""
+    """One MatrixQ per arrow in `matrices`, aligned with ``quiver.arrows``."""
 
     __slots__ = _fields = ("quiver", "dim", "matrices")
-
-    def __init__(self, quiver: Quiver, dim: DimVector, matrices: tuple):
-        _set(self, "quiver", quiver)
-        _set(self, "dim", dim)
-        _set(self, "matrices", matrices)  # one MatrixQ per arrow, aligned with quiver.arrows
 
     @staticmethod
     def of(quiver: Quiver, dim: DimVector, matrices: Sequence[MatrixQ]) -> "Representation":
@@ -136,17 +131,11 @@ class CocycleElement(Value):
     """A per-arrow matrix family of shape dim(U)_target x dim(V)_source.
 
     `sub_dim` is the dimension vector of U (the submodule side of the
-    extensions this element describes), `quot_dim` that of V.
+    extensions this element describes), `quot_dim` that of V; `matrices`
+    is aligned with ``quiver.arrows``.
     """
 
     __slots__ = _fields = ("quiver", "sub_dim", "quot_dim", "matrices")
-
-    def __init__(self, quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector,
-                 matrices: tuple):
-        _set(self, "quiver", quiver)
-        _set(self, "sub_dim", sub_dim)
-        _set(self, "quot_dim", quot_dim)
-        _set(self, "matrices", matrices)  # aligned with quiver.arrows
 
     @staticmethod
     def of(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector,

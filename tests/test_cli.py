@@ -102,15 +102,14 @@ MALFORMED_DIMS = [
 
 @pytest.mark.parametrize("quiver_text, rep_text, reason", MALFORMED_FILES)
 def test_validate_malformed_file_exits_2(tmp_path, capsys, quiver_text, rep_text, reason):
-    # A rep file is read after the quiver's summary line is printed.
+    # The quiver's summary line is printed before the rep file is read, but
+    # a call that exits 2 prints nothing to stdout.
     argv = ["validate", "--quiver", write(tmp_path, "q.quiver", quiver_text)]
-    out = ""
     if rep_text is not None:
         argv += ["--rep", write(tmp_path, "m.rep", rep_text)]
-        out = "quiver OK: vertices=2 arrows=1 relations=0 admissible=yes triangular=yes\n"
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == out
+    assert captured.out == ""
     assert captured.err == f"parse error: {reason}\n"
 
 
@@ -229,11 +228,16 @@ def test_family_emits_parseable_files(tmp_path, capsys):
     pytest.param("--emit-h2", "1/0", id="h2-zero-denominator"),
 ])
 def test_family_rejects_bad_label(tmp_path, capsys, flag, label):
+    # The valid --emit-quiver comes first, yet nothing is written or printed.
     code = main(["family", "--p", "2", "--q", "2", "--r", "2",
                  "--s", "1", "--t", "1",
+                 "--emit-quiver", str(tmp_path / "ok.quiver"),
                  flag, label, str(tmp_path / "h.rep")])
     assert code == 2
-    assert "error: " in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_paper_verify_pass(tmp_path, capsys):
@@ -345,7 +349,9 @@ def test_family_unwritable_emit_path_exits_2(tmp_path, capsys):
     code = main(["family", "--p", "1", "--q", "1", "--r", "1", "--s", "1", "--t", "1",
                  "--emit-quiver", str(target)])
     assert code == 2
-    assert f"error: cannot write {target}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {target}" in captured.err
 
 
 def test_paper_verify_unwritable_out_path_exits_2(tmp_path, capsys):
@@ -353,4 +359,6 @@ def test_paper_verify_unwritable_out_path_exits_2(tmp_path, capsys):
     code = main(["paper-verify", "--p", "1", "--q", "1", "--r", "1", "--s", "1", "--t", "1",
                  "--out", str(target)])
     assert code == 2
-    assert f"error: cannot write {target}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {target}" in captured.err

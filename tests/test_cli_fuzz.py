@@ -3,8 +3,9 @@
 Each example writes a small quiver file and representation files (at most
 4 vertices, dimensions at most 2), picks a subcommand with generated flag
 values, runs ``quivrep.cli.main`` in process and checks that it returns 0,
-1 or 2 (or that argparse exits with 0 or 2) without raising.  Family arms
-stay at most 2 and scalar lists short, so no call does unbounded work.
+1 or 2 (or that argparse exits with 0 or 2) without raising, and that a
+call ending with 2 printed nothing to stdout.  Family arms stay at most 2
+and scalar lists short, so no call does unbounded work.
 """
 
 import contextlib
@@ -116,6 +117,7 @@ def cli_calls(draw):
 
 
 def _run(files, argv):
+    """The exit code of one call and what it printed to stdout."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             Path(tmp, name).write_text(text)
@@ -124,14 +126,18 @@ def _run(files, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                return main(argv)
+                code = main(argv)
             except SystemExit as exc:  # argparse refused the arguments
                 assert exc.code in (0, 2), (argv, exc.code, err.getvalue())
-                return exc.code
+                code = exc.code
+        return code, out.getvalue()
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(cli_calls())
 def test_cli_call_exits_0_1_or_2(call):
     files, argv = call
-    assert _run(files, argv) in (0, 1, 2), argv
+    code, out = _run(files, argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "", argv

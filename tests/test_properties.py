@@ -16,10 +16,12 @@ from quivrep import (
     MatrixQ,
     Family,
     FamilyParams,
+    Quiver,
     euler_form,
     expected_dim,
     kernel_basis,
     kron,
+    minimal_convex,
     parse_quiver,
     parse_rep,
     rank,
@@ -158,3 +160,44 @@ def test_twisted_evaluate_is_linear(seed, scalar):
     rhs = twisted_evaluate(z1, rel, u, v) + \
         twisted_evaluate(z2, rel, u, v).scale(scalar)
     assert lhs == rhs
+
+
+@st.composite
+def quivers_with_seeds(draw):
+    """A quiver on at most 6 vertices, loops and cycles allowed, plus seeds."""
+    n = draw(st.integers(1, 6))
+    vertices = tuple(f"v{i}" for i in range(n))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         max_size=10))
+    arrows = [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)]
+    seeds = draw(st.sets(st.sampled_from(vertices), min_size=1))
+    return Quiver.build(vertices, arrows), seeds
+
+
+def _reaches(quiver):
+    """(x, y) pairs with a path, possibly trivial, from x to y (Warshall)."""
+    reach = {(v, v) for v in quiver.vertices} | {(a.source, a.target) for a in quiver.arrows}
+    for k in quiver.vertices:
+        for i in quiver.vertices:
+            for j in quiver.vertices:
+                if (i, k) in reach and (k, j) in reach:
+                    reach.add((i, j))
+    return reach
+
+
+def _on_path_between(reach, w, members):
+    return any((x, w) in reach for x in members) and any((w, y) in reach for y in members)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(quivers_with_seeds())
+def test_minimal_convex_is_the_convex_hull_of_the_seeds(case):
+    quiver, seeds = case
+    hull = set(minimal_convex(quiver, seeds))
+    reach = _reaches(quiver)
+    assert seeds <= hull
+    # Convex: no vertex outside lies on a path between two members.
+    assert not any(_on_path_between(reach, w, hull)
+                   for w in quiver.vertices if w not in hull)
+    # Minimal: every member lies on a path between two seeds.
+    assert all(_on_path_between(reach, w, seeds) for w in hull)

@@ -1,4 +1,4 @@
-"""The value-type contract: equality, hashing, immutability and defaults.
+"""The value-type contract: construction, equality, hashing and immutability.
 
 These are the semantics a frozen dataclass gives; ``RegularityCertificate``,
 the one dataclass left, must also keep working with ``dataclasses.replace``.
@@ -68,6 +68,26 @@ def test_frozen_fields_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             delattr(value, field)
         assert getattr(value, field) == before
+
+
+def test_constructor_binds_positionals_then_keywords_in_field_order():
+    positional = Arrow("x", "b", "a")
+    assert Arrow(name="x", source="b", target="a") == positional
+    assert Arrow(target="a", name="x", source="b") == positional
+    assert Arrow("x", target="a", source="b") == positional
+    assert Arrow("x", "b", target="a") == positional
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    pytest.param(("x", "b"), {}, "missing field 'target'", id="missing"),
+    pytest.param(("x", "b", "a"), {"label": "y"}, "field 'label' unknown", id="unknown"),
+    pytest.param(("x", "b"), {"name": "y", "target": "a"}, "field 'name' given twice",
+                 id="twice"),
+    pytest.param(("x", "b", "a", "c"), {}, "takes 3 fields, got 4", id="too-many"),
+])
+def test_constructor_refuses_bad_arguments(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Arrow(*args, **kwargs)
 
 
 def test_repr_names_every_field_in_constructor_order():
