@@ -14,15 +14,13 @@ import importlib
 
 _EXPORTS = {
     "errors": ("DecompositionMismatch", "HomNotZero", "InequalityViolated",
-               "InvalidLabel", "MixedEndpoints", "NonComposable", "NotACocycle",
-               "NotAVarietyPoint", "ParseError", "QuivrepError", "ShapeMismatch",
-               "WrongDimension"),
+               "InvalidLabel", "MixedEndpoints", "NonComposable", "NotAVarietyPoint",
+               "ParseError", "QuivrepError", "ShapeMismatch", "WrongDimension"),
     "linalg": ("MatrixQ", "kernel_basis", "kron", "random_invertible", "random_matrix",
                "rank", "seeded_rng"),
     "quiver": ("Arrow", "BoundQuiver", "DimVector", "Path", "Quiver", "Relation",
-               "SupportInfo", "classify_dimvector", "compose_paths", "euler_form",
-               "expected_dim", "full_subquiver", "is_triangular", "minimal_convex",
-               "support", "tits_form"),
+               "classify_dimvector", "euler_form", "expected_dim", "is_triangular",
+               "minimal_convex", "tits_form"),
     "rep": ("CocycleElement", "Representation", "conjugate", "direct_sum",
             "make_rep", "middle_term", "simple_rep", "twisted_evaluate"),
     "homology": ("Basis", "ExtReport", "coboundary_space",

@@ -26,10 +26,6 @@ class NotAVarietyPoint(QuivrepError):
     """A representation does not satisfy the relations it was asked to."""
 
 
-class NotACocycle(QuivrepError):
-    """A candidate cocycle fails the twisted relation equations."""
-
-
 class HomNotZero(QuivrepError):
     """A tangent bound was requested for a pair with Hom(V, U) != 0."""
 

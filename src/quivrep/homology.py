@@ -19,7 +19,9 @@ Both systems are written row by row: each nonzero coefficient of a row is
 stored at its own unknown, and every other entry is the shared zero.  The
 result is the row-major Kronecker form vec(A X B) = kron(A, B^T) vec(X)
 of each block, entry for entry, without forming the mostly-zero products
-with identity matrices.
+with identity matrices.  The two builders stay separate because a shared
+row writer would multiply by the identity entries that
+:func:`intertwiner_matrix` stores directly.
 
 The dimensions computed here are field-independent: the systems have
 rational coefficients, so ranks over the rationals agree with ranks over

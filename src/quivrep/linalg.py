@@ -89,9 +89,6 @@ class MatrixQ(Value):
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def entries(self) -> Iterable[Fraction]:
         for row in self.data:
             yield from row
@@ -222,6 +219,8 @@ def _echelon(rows: list, ncols: int, reduce: bool) -> list:
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         best, size = -1, 0
         for i in range(r, nrows):
             a = rows[i][c]
@@ -250,8 +249,6 @@ def _echelon(rows: list, ncols: int, reduce: bool) -> list:
             rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return pivots
 
 

@@ -5,7 +5,6 @@ Conventions, used consistently everywhere:
 * A path is written ``a1 a2 ... an`` with the *rightmost* arrow acting
   first: ``source(a_i) == target(a_{i+1})``.  The source of the path is the
   source of its last arrow, the target is the target of its first arrow.
-  Trivial paths sit at a single vertex and act as identities.
 * A relation is a rational linear combination of paths of length >= 1 that
   all share one source and one target.  It is admissible when every path
   has length >= 2.
@@ -70,33 +69,24 @@ class Quiver(Value):
     def path(self, arrow_names: Sequence[str]) -> "Path":
         return Path.of(self, arrow_names)
 
-    def trivial_path(self, vertex: str) -> "Path":
-        if vertex not in self.vertex_index:
-            raise QuivrepError(f"unknown vertex {vertex!r}")
-        return Path(self, (), vertex)
-
 
 class Path(Value):
-    """A composable word of arrows, or a trivial path at `base`; `base` is set exactly then."""
+    """A nonempty composable word of arrows."""
 
-    __slots__ = _fields = ("quiver", "arrow_names", "base")
+    __slots__ = _fields = ("quiver", "arrow_names")
 
     @staticmethod
     def of(quiver: Quiver, arrow_names: Sequence[str]) -> "Path":
         names = tuple(arrow_names)
         if not names:
-            raise QuivrepError("empty arrow list; use trivial_path for identities")
+            raise QuivrepError("empty arrow list")
         arrows = [quiver.arrow(n) for n in names]
         for left, right in zip(arrows, arrows[1:]):
             if left.source != right.target:
                 raise NonComposable(
                     f"{left.name} (source {left.source}) cannot follow "
                     f"{right.name} (target {right.target})")
-        return Path(quiver, names, None)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.arrow_names
+        return Path(quiver, names)
 
     @property
     def length(self) -> int:
@@ -104,35 +94,14 @@ class Path(Value):
 
     @property
     def source(self) -> str:
-        if self.is_trivial:
-            return self.base
         return self.quiver.arrow(self.arrow_names[-1]).source
 
     @property
     def target(self) -> str:
-        if self.is_trivial:
-            return self.base
         return self.quiver.arrow(self.arrow_names[0]).target
 
     def __str__(self) -> str:
-        if self.is_trivial:
-            return f"e({self.base})"
         return ".".join(self.arrow_names)
-
-
-def compose_paths(p1: Path, p2: Path) -> Path:
-    """Concatenation p1 * p2, meaning p2 acts first."""
-    if p1.quiver != p2.quiver:
-        raise NonComposable("paths live on different quivers")
-    if p1.source != p2.target:
-        raise NonComposable(
-            f"cannot compose: source {p1.source!r} of left path != "
-            f"target {p2.target!r} of right path")
-    if p1.is_trivial:
-        return p2
-    if p2.is_trivial:
-        return p1
-    return Path(p1.quiver, p1.arrow_names + p2.arrow_names, None)
 
 
 class Relation(Value):
@@ -153,8 +122,6 @@ class Relation(Value):
             coeff = Fraction(coeff)
             if coeff == 0:
                 raise QuivrepError("relation term with zero coefficient")
-            if path.is_trivial:
-                raise QuivrepError("relation paths must have length >= 1")
             if path.arrow_names in merged:
                 total, path = merged[path.arrow_names]
                 coeff += total
@@ -246,9 +213,6 @@ class DimVector(Value):
     def glsum(self) -> int:
         """dim GL(d) = sum of squares of the entries."""
         return sum(x * x for x in self.entries)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.quiver.vertices, self.entries))
 
     def __str__(self) -> str:
         return ",".join(f"{v}={x}" for v, x in zip(self.quiver.vertices, self.entries))
@@ -343,48 +307,26 @@ def minimal_convex(quiver: Quiver, seed_vertices) -> tuple:
     return tuple(v for v in quiver.vertices if v in hull)
 
 
-def full_subquiver(quiver: Quiver, vertex_subset) -> Quiver:
-    """The full subquiver on the given vertices (all arrows between them)."""
-    keep = set(vertex_subset)
-    verts = tuple(v for v in quiver.vertices if v in keep)
-    arrows = tuple(a for a in quiver.arrows if a.source in keep and a.target in keep)
-    return Quiver(verts, arrows)
-
-
-class SupportInfo(Value):
-    __slots__ = _fields = ("subquiver", "is_sincere", "is_connected")
-
-
-def support(d: DimVector, quiver: Quiver) -> SupportInfo:
-    """Full subquiver on the support of d, plus sincerity/connectedness.
-
-    Connectedness is of the underlying undirected graph of the support
-    subquiver; the empty support counts as not connected.
-    """
-    supported = [v for v, x in zip(quiver.vertices, d.entries) if x > 0]
-    sub = full_subquiver(quiver, supported)
-    sincere = len(supported) == len(quiver.vertices)
-    if not supported:
-        return SupportInfo(sub, sincere, False)
-    adj = {v: [] for v in sub.vertices}
-    for a in sub.arrows:
-        adj[a.source].append(a.target)
-        adj[a.target].append(a.source)
-    connected = len(_reach(adj, supported[:1])) == len(supported)
-    return SupportInfo(sub, sincere, connected)
-
-
 def classify_dimvector(d: DimVector, bq: BoundQuiver) -> str:
     """Indecomposable count prediction from connectedness and the Tits form.
 
     The prediction assumes the algebra is tame quasi-tilted; nothing here
     checks that, so the caller must know it (``quivrep euler`` prints the
     verdict only under ``--assume-tame-quasitilted``).
+    The support is connected when its vertices are connected through
+    arrows with both ends in it, in either direction; the empty support is
+    not connected.
     Verdicts: "NoIndecomposable" (support disconnected or q not in {0,1}),
     "UniqueIndecomposable" (q = 1), "OneParameterFamilies" (q = 0).
     """
-    info = support(d, bq.quiver)
-    if not info.is_connected:
+    quiver = bq.quiver
+    supported = [v for v, x in zip(quiver.vertices, d.entries) if x > 0]
+    adj = {v: [] for v in supported}
+    for a in quiver.arrows:
+        if a.source in adj and a.target in adj:
+            adj[a.source].append(a.target)
+            adj[a.target].append(a.source)
+    if not supported or len(_reach(adj, supported[:1])) < len(supported):
         return "NoIndecomposable"
     q = tits_form(d, bq)
     if q == 1:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from quivrep import parse_quiver, parse_rep
@@ -154,6 +159,21 @@ def test_invariants_pair_mode_with_gldim_flag(tmp_path, capsys):
     assert "ext1(M,N) = 1" in out
     assert "euler(dimM,dimN) = -1" in out
     assert "ext2(M,N) = 0" in out
+
+
+def test_invariants_on_a_huge_point_with_no_arrows_returns_at_once(tmp_path):
+    # No arrow means an empty Hom system with 10^16 columns; elimination
+    # must stop when no rows are left instead of scanning every column.
+    q = write(tmp_path, "one.quiver", "vertex a\n")
+    r = write(tmp_path, "big.rep", "dim a 100000000\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "quivrep.cli", "invariants",
+                           "--quiver", q, "--rep", r],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert "end(M) = 10000000000000000\n" in proc.stdout
+    assert "orbit_dim(M) = 0\n" in proc.stdout
 
 
 def test_euler_subcommand(tmp_path, capsys):

@@ -45,12 +45,12 @@ def test_ragged_literal_rejected():
 def test_arithmetic():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])
-    assert (a + b).row(0) == (F(1), F(3))
+    assert (a + b).data[0] == (F(1), F(3))
     assert (a - a).is_zero()
     assert (-a)[1, 1] == -4
     assert a.scale(F(1, 2))[1, 0] == F(3, 2)
     assert (a @ b) == M([[2, 1], [4, 3]])
-    assert a.transpose().row(0) == (F(1), F(3))
+    assert a.transpose().data[0] == (F(1), F(3))
 
 
 def test_matmul_shape_check():
@@ -82,9 +82,9 @@ def test_rref_and_rank():
     again, again_pivots = rref(reduced)
     assert again == reduced and again_pivots == pivots  # idempotent
     # row space is preserved: each original row lies in the rref row span
-    pivot_rows = [tuple(reduced.row(i)) for i in range(2)]
+    pivot_rows = [tuple(reduced.data[i]) for i in range(2)]
     for i in range(3):
-        assert in_span(pivot_rows, tuple(a.row(i)))
+        assert in_span(pivot_rows, tuple(a.data[i]))
 
 
 def _as_column(v):

@@ -7,16 +7,18 @@ derandomized search so the suite stays reproducible in CI.
 from fractions import Fraction as F
 from random import Random
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quivrep import (
+    BoundQuiver,
     CocycleElement,
     DimVector,
     MatrixQ,
     Family,
     FamilyParams,
     Quiver,
+    classify_dimvector,
     euler_form,
     expected_dim,
     kernel_basis,
@@ -151,27 +153,33 @@ def test_twisted_evaluate_is_linear(seed, scalar):
     rel = rng.choice(bq.relations)
     ambient = cocycle_ambient_dim(q, sub, quot)
 
-    def rand_z():
-        flat = [F(rng.randint(-3, 3)) for _ in range(ambient)]
-        return CocycleElement.from_flat(q, sub, quot, flat)
+    def rand_flat():
+        return [F(rng.randint(-3, 3)) for _ in range(ambient)]
 
-    z1, z2 = rand_z(), rand_z()
-    lhs = twisted_evaluate(z1 + z2.scale(scalar), rel, u, v)
+    flat1, flat2 = rand_flat(), rand_flat()
+    z1 = CocycleElement.from_flat(q, sub, quot, flat1)
+    z2 = CocycleElement.from_flat(q, sub, quot, flat2)
+    scaled = CocycleElement.from_flat(q, sub, quot, [scalar * x for x in flat2])
+    lhs = twisted_evaluate(z1 + scaled, rel, u, v)
     rhs = twisted_evaluate(z1, rel, u, v) + \
         twisted_evaluate(z2, rel, u, v).scale(scalar)
     assert lhs == rhs
 
 
 @st.composite
-def quivers_with_seeds(draw):
-    """A quiver on at most 6 vertices, loops and cycles allowed, plus seeds."""
+def quivers(draw):
+    """A quiver on at most 6 vertices; loops, cycles and parallel arrows allowed."""
     n = draw(st.integers(1, 6))
     vertices = tuple(f"v{i}" for i in range(n))
     ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
                          max_size=10))
-    arrows = [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)]
-    seeds = draw(st.sets(st.sampled_from(vertices), min_size=1))
-    return Quiver.build(vertices, arrows), seeds
+    return Quiver.build(vertices, [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+
+
+@st.composite
+def quivers_with_seeds(draw):
+    quiver = draw(quivers())
+    return quiver, draw(st.sets(st.sampled_from(quiver.vertices), min_size=1))
 
 
 def _reaches(quiver):
@@ -201,3 +209,60 @@ def test_minimal_convex_is_the_convex_hull_of_the_seeds(case):
                    for w in quiver.vertices if w not in hull)
     # Minimal: every member lies on a path between two seeds.
     assert all(_on_path_between(reach, w, seeds) for w in hull)
+
+
+# The connectivity rule classify_dimvector used before it stopped building
+# a support record, kept as the oracle: the full subquiver on the support,
+# connected as an undirected graph, with the empty support not connected.
+def _old_reach(adjacency, starts):
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _old_full_subquiver(quiver, vertex_subset):
+    keep = set(vertex_subset)
+    verts = tuple(v for v in quiver.vertices if v in keep)
+    arrows = tuple(a for a in quiver.arrows if a.source in keep and a.target in keep)
+    return Quiver(verts, arrows)
+
+
+def _old_support_is_connected(d, quiver):
+    supported = [v for v, x in zip(quiver.vertices, d.entries) if x > 0]
+    sub = _old_full_subquiver(quiver, supported)
+    if not supported:
+        return False
+    adj = {v: [] for v in sub.vertices}
+    for a in sub.arrows:
+        adj[a.source].append(a.target)
+        adj[a.target].append(a.source)
+    return len(_old_reach(adj, supported[:1])) == len(supported)
+
+
+def _old_classify(d, bq):
+    if not _old_support_is_connected(d, bq.quiver):
+        return "NoIndecomposable"
+    q = tits_form(d, bq)
+    return {1: "UniqueIndecomposable", 0: "OneParameterFamilies"}.get(q, "NoIndecomposable")
+
+
+@st.composite
+def quivers_with_dims(draw):
+    quiver = draw(quivers())
+    n = len(quiver.vertices)
+    return quiver, draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(quivers_with_dims())
+@example((Quiver.build(("v0", "v1"), [("a0", "v0", "v1")]), [0, 0]))
+def test_classify_dimvector_matches_the_support_subquiver_rule(case):
+    quiver, dims = case
+    bq = BoundQuiver.of(quiver, [])
+    d = DimVector.of(quiver, dims)
+    assert classify_dimvector(d, bq) == _old_classify(d, bq)

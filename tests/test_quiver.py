@@ -8,13 +8,10 @@ from quivrep import (
     DimVector,
     Quiver,
     Relation,
-    compose_paths,
     euler_form,
     expected_dim,
-    full_subquiver,
     is_triangular,
     minimal_convex,
-    support,
     tits_form,
 )
 from quivrep.errors import MixedEndpoints, NonComposable, QuivrepError
@@ -48,23 +45,6 @@ def test_path_composability():
     assert str(p) == "alpha.beta"
     with pytest.raises(NonComposable):
         q.path(["beta", "alpha"])
-
-
-def test_trivial_path():
-    q = a3()
-    e = q.trivial_path("x2")
-    assert e.is_trivial and e.source == e.target == "x2"
-    assert str(e) == "e(x2)"
-
-
-def test_compose_paths_order():
-    q = a3()
-    first = q.path(["beta"])
-    second = q.path(["alpha"])
-    whole = compose_paths(second, first)  # second after first
-    assert whole.arrow_names == ("alpha", "beta")
-    with pytest.raises(NonComposable):
-        compose_paths(first, second)
 
 
 def test_relation_validation():
@@ -112,7 +92,7 @@ def test_dimvector_basics():
     d = DimVector.of(q, {"x1": 1, "x3": 2})
     assert d["x2"] == 0 and d.total == 3 and d.glsum() == 5
     e = DimVector.of(q, (1, 1, 0))
-    assert (d + e).as_dict() == {"x1": 2, "x2": 1, "x3": 2}
+    assert (d + e).entries == (2, 1, 2)
     assert str(e) == "x1=1,x2=1,x3=0"
 
 
@@ -160,13 +140,3 @@ def test_minimal_convex():
     q = a3()
     assert minimal_convex(q, {"x1", "x3"}) == ("x1", "x2", "x3")
     assert minimal_convex(q, {"x2"}) == ("x2",)
-    sub = full_subquiver(q, {"x1", "x2"})
-    assert [a.name for a in sub.arrows] == ["alpha"]
-
-
-def test_support_info():
-    q = a3()
-    full = support(DimVector.of(q, (1, 1, 1)), q)
-    assert full.is_sincere and full.is_connected
-    gap = support(DimVector.of(q, (1, 0, 1)), q)
-    assert not gap.is_sincere and not gap.is_connected

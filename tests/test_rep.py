@@ -18,7 +18,7 @@ from quivrep import (
     simple_rep,
     twisted_evaluate,
 )
-from quivrep.errors import NotACocycle, ShapeMismatch
+from quivrep.errors import ShapeMismatch
 from quivrep.rep import cocycle_ambient_dim
 
 
@@ -46,8 +46,6 @@ def test_evaluate_path_applies_rightmost_first():
                  {"alpha": [[2]], "beta": [[3]]})
     p = q.path(["alpha", "beta"])
     assert m.evaluate_path(p) == MatrixQ.from_rows([[6]])
-    e = q.trivial_path("x2")
-    assert m.evaluate_path(e) == MatrixQ.identity(1)
 
 
 def test_variety_point_detection():
@@ -63,7 +61,7 @@ def test_direct_sum_blocks():
     m = make_rep(q, (1, 1, 0), {"alpha": [[2]]})
     n = make_rep(q, (1, 1, 1), {"alpha": [[3]], "beta": [[1]]})
     s = direct_sum(m, n)
-    assert s.dim.as_dict() == {"x1": 2, "x2": 2, "x3": 1}
+    assert s.dim.entries == (2, 2, 1)
     assert s.matrix("alpha") == MatrixQ.from_rows([[2, 0], [0, 3]])
     # the beta block only has the n-part
     assert s.matrix("beta") == MatrixQ.from_rows([[0], [1]])
@@ -91,30 +89,23 @@ def test_zero_and_simple():
     z = make_rep(q, {})
     assert z.dim.total == 0
     s = simple_rep(q, "x2")
-    assert s.dim.as_dict() == {"x1": 0, "x2": 1, "x3": 0}
+    assert s.dim.entries == (0, 1, 0)
     assert s.matrix("alpha").shape == (0, 1)
 
 
-def test_cocycle_element_validation_and_flatten():
+def test_cocycle_element_flatten():
     bq = a3_bound()
     q = bq.quiver
     sub = DimVector.of(q, (1, 1, 0))
     quot = DimVector.of(q, (0, 1, 1))
     # arrow alpha: sub[x1] x quot[x2] = 1x1; beta: sub[x2] x quot[x3] = 1x1
-    z = CocycleElement.of(q, sub, quot, [
-        MatrixQ.from_rows([[5]]),
-        MatrixQ.from_rows([[7]]),
-    ])
+    z = CocycleElement.from_flat(q, sub, quot, (F(5), F(7)))
+    assert z.matrix("alpha") == MatrixQ.from_rows([[5]])
+    assert z.matrix("beta") == MatrixQ.from_rows([[7]])
     assert cocycle_ambient_dim(q, sub, quot) == 2
-    flat = z.flatten()
-    assert flat == (F(5), F(7))
-    back = CocycleElement.from_flat(q, sub, quot, flat)
-    assert back == z
+    assert z.flatten() == (F(5), F(7))
     doubled = z + z
     assert doubled.matrix("alpha")[0, 0] == 10
-    assert z.scale(F(1, 5)).matrix("alpha")[0, 0] == 1
-    with pytest.raises(ShapeMismatch):
-        CocycleElement.of(q, sub, quot, [MatrixQ.zeros(2, 2), MatrixQ.zeros(1, 1)])
 
 
 def test_twisted_evaluate_is_linear():
@@ -126,19 +117,21 @@ def test_twisted_evaluate_is_linear():
     rel = bq.relations[0]
     sub, quot = u.dim, v.dim
 
-    def rand_z():
-        flat = [F(rng.randint(-4, 4)) for _ in range(cocycle_ambient_dim(q, sub, quot))]
-        return CocycleElement.from_flat(q, sub, quot, flat)
+    def rand_flat():
+        return [F(rng.randint(-4, 4)) for _ in range(cocycle_ambient_dim(q, sub, quot))]
 
     for _ in range(20):
-        z1, z2 = rand_z(), rand_z()
+        flat1, flat2 = rand_flat(), rand_flat()
+        z1 = CocycleElement.from_flat(q, sub, quot, flat1)
+        z2 = CocycleElement.from_flat(q, sub, quot, flat2)
         c = F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
-        lhs = twisted_evaluate(z1 + z2.scale(c), rel, u, v)
+        cz2 = CocycleElement.from_flat(q, sub, quot, [c * x for x in flat2])
+        lhs = twisted_evaluate(z1 + cz2, rel, u, v)
         rhs = twisted_evaluate(z1, rel, u, v) + twisted_evaluate(z2, rel, u, v).scale(c)
         assert lhs == rhs
 
 
-def test_middle_term_blocks_and_validation():
+def test_middle_term_blocks():
     bq = a3_bound()
     q = bq.quiver
     u = make_rep(q, (1, 1, 1), {"alpha": [[1]], "beta": [[0]]})
@@ -147,13 +140,16 @@ def test_middle_term_blocks_and_validation():
     # twisted constraint for z = (z_alpha, z_beta):
     #   Z_alpha V_beta + U_alpha Z_beta = z_alpha * 1 + 1 * z_beta
     good = CocycleElement.from_flat(q, sub, quot, (F(2), F(-2)))
-    w = middle_term(good, u, v, bq)
-    assert w.dim.as_dict() == {"x1": 2, "x2": 2, "x3": 2}
+    w = middle_term(good, u, v)
+    assert w.dim.entries == (2, 2, 2)
     assert w.matrix("alpha") == MatrixQ.from_rows([[1, 2], [0, 0]])
     assert w.is_variety_point(bq)
+    # the cocycle condition is not checked: a non-cocycle glues a non-point
     bad = CocycleElement.from_flat(q, sub, quot, (F(1), F(1)))
-    with pytest.raises(NotACocycle):
-        middle_term(bad, u, v, bq)
-    # without the bound quiver no validation happens
     raw = middle_term(bad, u, v)
     assert not raw.is_variety_point(bq)
+    # a missing or wrongly shaped Z matrix is refused
+    with pytest.raises(ShapeMismatch):
+        middle_term(CocycleElement(q, sub, quot, good.matrices[:1]), u, v)
+    with pytest.raises(ShapeMismatch):
+        middle_term(CocycleElement(q, sub, quot, (MatrixQ.zeros(1, 2), good.matrices[1])), u, v)

@@ -125,14 +125,14 @@ def test_rep_roundtrip_and_shape_check():
 def test_rep_missing_entries_are_zero():
     bq = parse_quiver(BOUND_TEXT)
     m = parse_rep("dim x2 2\n", bq.quiver)
-    assert m.dim.as_dict() == {"x1": 0, "x2": 2, "x3": 0}
+    assert m.dim.entries == (0, 2, 0)
     assert all(m.matrix(a.name).is_zero() for a in bq.quiver.arrows)
 
 
 def test_parse_dimvec():
     bq = parse_quiver(BOUND_TEXT)
     d = parse_dimvec("x1=1,x3=2", bq.quiver)
-    assert d.as_dict() == {"x1": 1, "x2": 0, "x3": 2}
+    assert d.entries == (1, 0, 2)
     with pytest.raises(ParseError):
         parse_dimvec("nope=1", bq.quiver)
 
