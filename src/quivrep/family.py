@@ -36,7 +36,7 @@ from .linalg import hstack, random_invertible, rank, seeded_rng, vstack
 from .quiver import (BoundQuiver, DimVector, Quiver, Relation, euler_form,
                      expected_dim, is_triangular, minimal_convex, tits_form)
 from .rep import Representation, conjugate, direct_sum, make_rep, simple_rep
-from .homology import cocycle_system, ext_report, hom_dim, intertwiner_matrix
+from .homology import cocycle_rows, ext_report, hom_dim, intertwiner_rows
 from .geometry import constrained_cocycles, direct_sum_stratum_dim
 
 
@@ -381,11 +381,11 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
             stratum = constrained_cocycles(probe, m, bq)
             # Each label's own Z is computed once, on its first measured pair.
             if z_u is None:
-                z_u = _nullity(cocycle_system(rep_u, rep_u, bq))
+                z_u = _nullity(cocycle_rows(rep_u, rep_u, bq))
             if iv not in z_v:
-                z_v[iv] = _nullity(cocycle_system(rep_v, rep_v, bq))
+                z_v[iv] = _nullity(cocycle_rows(rep_v, rep_v, bq))
             uv = ext_report(rep_u, rep_v, bq)
-            vu = intertwiner_matrix(rep_v, rep_u)  # kernel Hom(H'', H'), image B(H'', H')
+            vu = intertwiner_rows(rep_v, rep_u)  # kernel Hom(H'', H'), image B(H'', H')
             b_cross = rank(vu)
             row = GridRow(
                 u=str(u), v=str(v), hom_probe=stratum.hom_to_probe,

@@ -15,13 +15,26 @@ All spaces are cut out by linear systems over the rationals:
   these formulas, and :func:`ext1_dim` reads its result; :func:`hom_dim`
   and :func:`orbit_dim` take the one rank of the intertwiner system.
 
-Both systems are written row by row: each nonzero coefficient of a row is
-stored at its own unknown, and every other entry is the shared zero.  The
-result is the row-major Kronecker form vec(A X B) = kron(A, B^T) vec(X)
-of each block, entry for entry, without forming the mostly-zero products
-with identity matrices.  The two builders stay separate because a shared
-row writer would multiply by the identity entries that
-:func:`intertwiner_matrix` stores directly.
+Each system has one writer, and it writes Python-int rows, each with a
+known positive scale (a :class:`linalg.MatrixZ`), from the integer forms
+of the representations (``Representation.integer_form``, scale d_M for M):
+
+* :func:`intertwiner_rows` multiplies the N-part of every row by d_M and
+  the M-part by d_N, so each row is d_M * d_N times its rational row;
+* :func:`cocycle_rows` scales each relation block by
+  d_U^(L-1) * d_V^(L-1) * lcm(coefficient denominators), L the longest
+  path of the relation, as :func:`_twisted_slots` sets out.
+
+Ranks (:func:`hom_dim`, :func:`ext_report`) eliminate those rows as they
+are and build no Fraction.  :func:`intertwiner_matrix` and
+:func:`cocycle_system` divide the same rows by their scales into the
+exact `MatrixQ`, for kernels and images.  Each nonzero coefficient of a
+row is stored at its own unknown: the result is the row-major Kronecker
+form vec(A X B) = kron(A, B^T) vec(X) of each block, entry for entry,
+without forming the mostly-zero products with identity matrices.
+
+A writer refuses, with a :class:`QuivrepError`, a system of more than
+:data:`MAX_CELLS` cells before it allocates a row or an integer form.
 
 The dimensions computed here are field-independent: the systems have
 rational coefficients, so ranks over the rationals agree with ranks over
@@ -31,57 +44,76 @@ any extension field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from ._value import Value
 from .errors import QuivrepError
-from .linalg import MatrixQ, image_basis, is_invertible, kernel_basis, rank, seeded_rng
-from .quiver import BoundQuiver, euler_form
-from .rep import CocycleElement, Representation, twisted_factors
+from .linalg import (MatrixQ, MatrixZ, image_basis, is_invertible, kernel_basis, rank,
+                     seeded_rng)
+from .quiver import BoundQuiver, Relation, euler_form
+from .rep import CocycleElement, Representation
 
-# Builders start every row as [_ZERO] * cols.  A cell that still holds this
-# very object has not been written, so its first write is a plain store and
-# only a second one (an arrow that is a loop, or two slots on one arrow) adds.
-_ZERO = Fraction(0)
+# The most cells (rows x cols) a system may have.  Pure-Python elimination
+# of a system this size already takes hours, so no option lifts the cap.
+MAX_CELLS = 10**7
 
 
-def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
-    """Matrix of f |-> (N_a f_source - f_target M_a) over all arrows a.
+def _check_size(rows: int, cols: int, what: str) -> None:
+    if rows * cols > MAX_CELLS:
+        raise QuivrepError(f"the {what} system would have {rows} x {cols} cells, "
+                           f"more than the cap of {MAX_CELLS}")
+
+
+def intertwiner_rows(m: Representation, n: Representation) -> MatrixZ:
+    """Integer rows of f |-> (N_a f_source - f_target M_a) over all arrows a.
 
     Unknowns are the stacked row-major entries of f_x (shape n_x x m_x) in
     vertex order, and there is one block of rows per arrow.  The kernel is
     Hom(M, N); the image, laid out like a cocycle family, is B(M, N).  For
     an arrow a: s -> t, row (i, j) of its block holds N_a[i, k] at unknown
-    f_s[k, j] and -M_a[l, j] at unknown f_t[i, l].
+    f_s[k, j] and -M_a[l, j] at unknown f_t[i, l], every row times d_M d_N.
     """
     if m.quiver != n.quiver:
         raise QuivrepError("representations on different quivers")
     quiver = m.quiver
+    m_dim = dict(zip(quiver.vertices, m.dim.entries))
+    n_dim = dict(zip(quiver.vertices, n.dim.entries))
     offsets = {}
     total = 0
     for v in quiver.vertices:
         offsets[v] = total
-        total += n.dim[v] * m.dim[v]
+        total += n_dim[v] * m_dim[v]
+    _check_size(sum(n_dim[a.target] * m_dim[a.source] for a in quiver.arrows), total,
+                "intertwiner")
+    d_m, m_mats = m.integer_form
+    d_n, n_mats = n.integer_form
     rows = []
-    for arrow in quiver.arrows:
+    for arrow, m_a, n_a in zip(quiver.arrows, m_mats, n_mats):
         s, t = arrow.source, arrow.target
-        width_s, width_t = m.dim[s], m.dim[t]
-        m_a = m.matrix(arrow.name).data
-        # Nonzeros of column j of M_a, as (column of f_t[0, l], -M_a[l, j]).
-        m_cols = [[(offsets[t] + l, -row[j]) for l, row in enumerate(m_a) if row[j]]
+        width_s, width_t = m_dim[s], m_dim[t]
+        if not (width_s and n_a):
+            continue  # the arrow's block has no rows
+        # Nonzeros of column j of M_a, as (column of f_t[0, l], -d_N M_a[l, j]).
+        m_cols = [[(offsets[t] + l, -d_n * row[j]) for l, row in enumerate(m_a) if row[j]]
                   for j in range(width_s)]
-        for i, n_row in enumerate(n.matrix(arrow.name).data):
-            # Nonzeros of row i of N_a, as (column of f_s[k, 0], N_a[i, k]).
-            n_nz = [(offsets[s] + k * width_s, x) for k, x in enumerate(n_row) if x]
+        for i, n_row in enumerate(n_a):
+            # Nonzeros of row i of N_a, as (column of f_s[k, 0], d_M N_a[i, k]).
+            n_nz = [(offsets[s] + k * width_s, d_m * x) for k, x in enumerate(n_row) if x]
             shift = i * width_t
             for j in range(width_s):
-                row = [_ZERO] * total
+                row = [0] * total
                 for col, x in n_nz:
                     row[col + j] = x
                 for col, y in m_cols[j]:
-                    cell = row[col + shift]
-                    row[col + shift] = y if cell is _ZERO else cell + y
+                    row[col + shift] += y
                 rows.append(tuple(row))
-    return MatrixQ(len(rows), total, tuple(rows))
+    return MatrixZ(len(rows), total, tuple(rows), (d_m * d_n,) * len(rows))
+
+
+def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
+    """The exact matrix of :func:`intertwiner_rows`."""
+    return intertwiner_rows(m, n).to_q()
 
 
 class Basis(Value):
@@ -112,7 +144,7 @@ def hom_basis(m: Representation, n: Representation) -> Basis:
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    system = intertwiner_matrix(m, n)
+    system = intertwiner_rows(m, n)
     return system.cols - rank(system)
 
 
@@ -124,34 +156,93 @@ def orbit_dim(m: Representation) -> int:
 # -- cocycles and coboundaries ------------------------------------------
 
 
-def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> MatrixQ:
-    """Matrix of the twisted relation system whose kernel is Z(V, U).
+def _identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _times(a: tuple, b: tuple, cols: int) -> tuple:
+    """a @ b for int matrices held as row tuples; b has `cols` columns."""
+    b_cols = tuple(zip(*b)) if b else ((),) * cols
+    return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
+
+
+def _twisted_slots(rel: Relation, u: Representation, v: Representation) -> tuple:
+    """The slots of a relation in integer form, as (scale, slots).
+
+    For each term coeff * (a_1 ... a_m) and each position j, the slot is
+    a_j with prefix U_{a_1} ... U_{a_{j-1}} and suffix V_{a_{j+1}} ... V_{a_m}
+    (identities when empty): the factors before Z come from U, those after
+    from V.  Each slot is (c, a_j, P, S) with int row tuples P and S from
+    the integer forms of U and V and an int c, chosen so that the sum of
+    c * P Z_{a_j} S over the slots is `scale` times the twisted evaluation.
+    With d_U and d_V the integer-form scales, L the longest path and D the
+    lcm of the coefficient denominators of the relation:
+
+    * scale = d_U^(L-1) d_V^(L-1) D;
+    * P is d_U^(j-1) times the prefix, S is d_V^(m-j) times the suffix;
+    * c = coeff D d_U^(L-j) d_V^(L-1-m+j).
+
+    The prefixes of a term are one running product from the left, and its
+    suffixes one from the right.
+    """
+    quiver = u.quiver
+    index = quiver.arrow_index
+    d_u, u_mats = u.integer_form
+    d_v, v_mats = v.integer_form
+    longest = max(path.length for _, path in rel.terms)
+    den = lcm(*[coeff.denominator for coeff, _ in rel.terms])
+    slots = []
+    for coeff, path in rel.terms:
+        names = path.arrow_names
+        m = len(names)
+        prefixes = [_identity(u.dim[path.target])]
+        for name in names[:-1]:
+            k = index[name]
+            prefixes.append(_times(prefixes[-1], u_mats[k], u.dim[quiver.arrows[k].source]))
+        suffix = _identity(v.dim[path.source])
+        width = len(suffix)
+        c = coeff.numerator * (den // coeff.denominator)
+        for j in range(m - 1, -1, -1):  # right to left, so the suffix grows by one factor
+            slots.append((c * d_u ** (longest - 1 - j) * d_v ** (longest - m + j),
+                          names[j], prefixes[j], suffix))
+            if j:
+                suffix = _times(v_mats[index[names[j]]], suffix, width)
+    return d_u ** (longest - 1) * d_v ** (longest - 1) * den, slots
+
+
+def cocycle_rows(v: Representation, u: Representation, bq: BoundQuiver) -> MatrixZ:
+    """Integer rows of the twisted relation system whose kernel is Z(V, U).
 
     Unknowns are the stacked row-major entries of Z_a in arrow order, and
     there is one block of rows per relation, row (r, c) for entry (r, c) of
-    the twisted evaluation.  Each slot (coeff, a_j, P, S) of
-    :func:`rep.twisted_factors` contributes P Z_{a_j} S, so it adds
-    coeff * P[r, i] * S[k, c] at unknown Z_{a_j}[i, k] of row (r, c).
+    the twisted evaluation, scaled as :func:`_twisted_slots` sets out.
+    Each of its slots (coeff, a_j, P, S) contributes coeff * P Z_{a_j} S, so
+    it adds coeff * P[r, i] * S[k, c] at unknown Z_{a_j}[i, k] of row (r, c).
     """
     quiver = bq.quiver
     if u.quiver != quiver or v.quiver != quiver:
         raise QuivrepError("representations on a different quiver")
+    u_dim = dict(zip(quiver.vertices, u.dim.entries))
+    v_dim = dict(zip(quiver.vertices, v.dim.entries))
     offsets = {}
     pos = 0
     for arrow in quiver.arrows:
         offsets[arrow.name] = pos
-        pos += u.dim[arrow.target] * v.dim[arrow.source]
+        pos += u_dim[arrow.target] * v_dim[arrow.source]
     total = pos
-    rows = []
-    for rel in bq.relations:
-        width = v.dim[rel.source]
-        block = [[_ZERO] * total for _ in range(u.dim[rel.target] * width)]
-        for coeff, name, prefix, suffix in twisted_factors(rel, u, v):
+    ends = [(rel, rel.source, rel.target) for rel in bq.relations]
+    _check_size(sum(u_dim[t] * v_dim[s] for _, s, t in ends), total, "cocycle")
+    rows, scales = [], []
+    for rel, source, target in ends:
+        width = v_dim[source]
+        block = [[0] * total for _ in range(u_dim[target] * width)]
+        scale, slots = _twisted_slots(rel, u, v)
+        for coeff, name, prefix, suffix in slots:
             # Z_{a_j}[i, k] is unknown offset + i * w + k, with w = v.dim[source(a_j)].
-            w = suffix.rows
-            s_cols = [[(k, coeff * row[c]) for k, row in enumerate(suffix.data) if row[c]]
+            w = len(suffix)
+            s_cols = [[(k, coeff * row[c]) for k, row in enumerate(suffix) if row[c]]
                       for c in range(width)]
-            for r, p_row in enumerate(prefix.data):
+            for r, p_row in enumerate(prefix):
                 p_nz = [(offsets[name] + i * w, p) for i, p in enumerate(p_row) if p]
                 if not p_nz:
                     continue
@@ -159,10 +250,15 @@ def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> Mat
                     row = block[r * width + c]
                     for col, p in p_nz:
                         for k, x in s_nz:
-                            cell = row[col + k]
-                            row[col + k] = p * x if cell is _ZERO else cell + p * x
-        rows.extend(tuple(row) for row in block)
-    return MatrixQ(len(rows), total, tuple(rows))
+                            row[col + k] += p * x
+        rows.extend(map(tuple, block))
+        scales.extend([scale] * len(block))
+    return MatrixZ(len(rows), total, tuple(rows), tuple(scales))
+
+
+def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> MatrixQ:
+    """The exact matrix of :func:`cocycle_rows`."""
+    return cocycle_rows(v, u, bq).to_q()
 
 
 def cocycle_space(v: Representation, u: Representation, bq: BoundQuiver) -> Basis:
@@ -213,10 +309,10 @@ def ext_report(m: Representation, n: Representation, bq: BoundQuiver,
     algebra has global dimension at most two; the flag asserts that, and
     nothing here checks it.
     """
-    delta = intertwiner_matrix(m, n)
+    delta = intertwiner_rows(m, n)
     b = rank(delta)
     hom = delta.cols - b
-    cocycles = cocycle_system(m, n, bq)
+    cocycles = cocycle_rows(m, n, bq)
     z = cocycles.cols - rank(cocycles)
     ext1 = z - b
     euler = euler_form(m.dim, n.dim, bq)

@@ -1,18 +1,22 @@
 """Exact linear algebra over the rationals.
 
 All computations in this package reduce to ranks and kernels of small
-matrices with `fractions.Fraction` entries.  One elimination core,
-`_echelon`, serves them all.  It scales each row to integers by the lcm
-of its denominators and eliminates with exact Python ints, in
-fraction-free row operations; each new row is divided by the gcd of its
-entries, which this core uses in place of Bareiss's exact division by
-the previous pivot.  `rank` stops after forward elimination and builds no
-Fraction; `rref` divides only the final pivot rows back into Fractions.
-The reduced row echelon form is unique, so this gives exactly the values
-of a Fraction Gauss-Jordan elimination, without its per-entry gcds.
-Matrices are immutable; zero-by-n and n-by-zero shapes are first-class
-citizens because representations routinely carry them at unsupported
-vertices.
+rational matrices.  A `MatrixQ` holds `fractions.Fraction` entries; a
+`MatrixZ` holds the same kind of matrix as integer rows, each with the
+positive scale it was multiplied by.  The systems of
+:mod:`quivrep.homology` are written as `MatrixZ`, so that taking their
+rank builds no Fraction.  One elimination core, `_echelon`, serves them
+all.  It eliminates with exact Python ints, in fraction-free row
+operations: a `MatrixZ` row enters as it is, and `_integer_rows` scales
+each row of a `MatrixQ` to integers by the lcm of its denominators.  Each
+new row is divided by the gcd of its entries, which this core uses in
+place of Bareiss's exact division by the previous pivot.  `rank` stops
+after forward elimination and builds no Fraction; `rref` divides only the
+final pivot rows back into Fractions.  The reduced row echelon form is
+unique, so this gives exactly the values of a Fraction Gauss-Jordan
+elimination, without its per-entry gcds.  Matrices are immutable;
+zero-by-n and n-by-zero shapes are first-class citizens because
+representations routinely carry them at unsupported vertices.
 
 Randomness: every random draw goes through :func:`seeded_rng`, which seeds
 the standard Mersenne Twister (`random.Random`) with the SHA-512 digest of
@@ -136,6 +140,32 @@ class MatrixQ(Value):
             tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
 
 
+_ZERO = Fraction(0)
+
+
+class MatrixZ(Value):
+    """A rows x cols rational matrix as integer rows: row i is data[i] / scales[i].
+
+    `data` is a tuple of int row tuples and every scale is a positive int.
+    Scaling a row changes neither its span nor its rank, so :func:`rank`
+    eliminates the integer rows as they are.
+    """
+
+    __slots__ = _fields = ("rows", "cols", "data", "scales")
+
+    def __init__(self, rows: int, cols: int, data: tuple, scales: tuple):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
+        _set(self, "scales", scales)
+
+    def to_q(self) -> MatrixQ:
+        """The same matrix with Fraction entries."""
+        return MatrixQ(self.rows, self.cols, tuple(
+            tuple(Fraction(x, s) if x else _ZERO for x in row)
+            for row, s in zip(self.data, self.scales)))
+
+
 def hstack(blocks: Sequence[MatrixQ]) -> MatrixQ:
     blocks = list(blocks)
     if not blocks:
@@ -252,9 +282,6 @@ def _echelon(rows: list, ncols: int, reduce: bool) -> list:
     return pivots
 
 
-_ZERO = Fraction(0)
-
-
 def rref(m: MatrixQ):
     """Reduced row echelon form together with the pivot column list.
 
@@ -269,9 +296,13 @@ def rref(m: MatrixQ):
     return MatrixQ(m.rows, m.cols, tuple(out)), pivots
 
 
-def rank(m: MatrixQ) -> int:
+def rank(m: MatrixQ | MatrixZ) -> int:
     """Number of pivots after forward elimination on integers."""
-    return len(_echelon(_integer_rows(m.data), m.cols, reduce=False))
+    if isinstance(m, MatrixZ):
+        rows = [row for row in m.data if any(row)]
+    else:
+        rows = _integer_rows(m.data)
+    return len(_echelon(rows, m.cols, reduce=False))
 
 
 def kernel_basis(m: MatrixQ):

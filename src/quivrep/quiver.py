@@ -14,7 +14,6 @@ Conventions, used consistently everywhere:
 
 from __future__ import annotations
 
-import graphlib
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -59,6 +58,24 @@ class Quiver(Value):
     @cached_property
     def arrow_index(self) -> Mapping[str, int]:
         return {a.name: i for i, a in enumerate(self.arrows)}
+
+    @cached_property
+    def _triangular(self) -> bool:
+        """Kahn's algorithm: strip vertices with no arrow in until none is left."""
+        into = dict.fromkeys(self.vertices, 0)
+        out = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            into[a.target] += 1
+            out[a.source].append(a.target)
+        ready = [v for v, k in into.items() if k == 0]
+        stripped = 0
+        while ready:
+            stripped += 1
+            for w in out[ready.pop()]:
+                into[w] -= 1
+                if into[w] == 0:
+                    ready.append(w)
+        return stripped == len(self.vertices)
 
     def arrow(self, name: str) -> Arrow:
         try:
@@ -262,15 +279,11 @@ def expected_dim(d: DimVector, bq: BoundQuiver) -> int:
 
 
 def is_triangular(quiver: Quiver) -> bool:
-    """True when the quiver has no oriented cycles (loops included)."""
-    sorter = graphlib.TopologicalSorter({v: [] for v in quiver.vertices})
-    for a in quiver.arrows:
-        sorter.add(a.target, a.source)
-    try:
-        sorter.prepare()
-    except graphlib.CycleError:
-        return False
-    return True
+    """True when the quiver has no oriented cycles (loops included).
+
+    Computed once per quiver and kept in its ``__dict__``.
+    """
+    return quiver._triangular
 
 
 def _reach(adjacency: Mapping, starts) -> set:

@@ -14,14 +14,20 @@ replaces one factor of each path by the corresponding Z matrix, using U
 for the factors before it and V after it; a cocycle is a family on which
 every relation's twisted evaluation vanishes, and each such family glues U
 below V into a middle term W with arrow blocks [[U_a, Z_a], [0, V_a]].
+
+Every representation also has an integer form, computed on first use and
+kept: its arrow matrices times the lcm of all their denominators.  The
+linear systems of :mod:`quivrep.homology` are written from these integer
+forms.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from math import lcm
 
-from ._value import Value
+from ._value import Value, _set
 from .errors import QuivrepError, ShapeMismatch
 from .linalg import MatrixQ, block_matrix
 from .quiver import BoundQuiver, DimVector, Path, Quiver, Relation
@@ -30,7 +36,8 @@ from .quiver import BoundQuiver, DimVector, Path, Quiver, Relation
 class Representation(Value):
     """One MatrixQ per arrow in `matrices`, aligned with ``quiver.arrows``."""
 
-    __slots__ = _fields = ("quiver", "dim", "matrices")
+    __slots__ = ("quiver", "dim", "matrices", "_integer_form")
+    _fields = ("quiver", "dim", "matrices")
 
     @staticmethod
     def of(quiver: Quiver, dim: DimVector, matrices: Sequence[MatrixQ]) -> "Representation":
@@ -46,6 +53,25 @@ class Representation(Value):
 
     def matrix(self, arrow_name: str) -> MatrixQ:
         return self.matrices[self.quiver.arrow_index[arrow_name]]
+
+    @property
+    def integer_form(self) -> tuple:
+        """(d, mats): d is the lcm of every denominator of every arrow
+        matrix, and mats[k] is the matrix of arrow k times d, as int row
+        tuples.  Computed on first use and kept."""
+        try:
+            return self._integer_form
+        except AttributeError:
+            pass
+        d = lcm(*[x.denominator for m in self.matrices for row in m.data for x in row])
+        if d == 1:
+            mats = tuple([tuple([tuple([x.numerator for x in row]) for row in m.data])
+                          for m in self.matrices])
+        else:
+            mats = tuple([tuple([tuple([x.numerator * (d // x.denominator) for x in row])
+                                 for row in m.data]) for m in self.matrices])
+        _set(self, "_integer_form", (d, mats))
+        return self._integer_form
 
     def evaluate_path(self, path: Path) -> MatrixQ:
         if path.quiver != self.quiver:
@@ -166,39 +192,26 @@ def cocycle_ambient_dim(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector)
     return sum(sub_dim[a.target] * quot_dim[a.source] for a in quiver.arrows)
 
 
-def twisted_factors(rel: Relation, u: Representation, v: Representation):
-    """Yield (coeff, arrow name, prefix, suffix) for every slot of a relation.
-
-    For each term coeff * (a_1 ... a_m) and each position j, the slot is
-    a_j with prefix U_{a_1} ... U_{a_{j-1}} and suffix V_{a_{j+1}} ... V_{a_m}
-    (identities when empty): the factors before Z come from U, those after
-    from V.
-    """
-    for coeff, path in rel.terms:
-        names = path.arrow_names
-        for j, name in enumerate(names):
-            prefix = MatrixQ.identity(u.dim[path.target])
-            for pre in names[:j]:
-                prefix = prefix @ u.matrix(pre)
-            suffix = MatrixQ.identity(v.dim[path.source])
-            for post in reversed(names[j + 1:]):
-                suffix = v.matrix(post) @ suffix
-            yield coeff, name, prefix, suffix
-
-
 def twisted_evaluate(z: CocycleElement, rel: Relation,
                      u: Representation, v: Representation) -> MatrixQ:
     """Evaluate a relation with one path factor replaced by Z.
 
-    Sums coeff * prefix Z_{a_j} suffix over the slots of
-    :func:`twisted_factors`.  The result has shape
-    dim(U)_target x dim(V)_source of the relation.
+    Sums coeff * U_{a_1} ... U_{a_{j-1}} Z_{a_j} V_{a_{j+1}} ... V_{a_m}
+    over every term coeff * (a_1 ... a_m) and position j.  The result has
+    shape dim(U)_target x dim(V)_source of the relation.
     """
     if u.dim != z.sub_dim or v.dim != z.quot_dim:
         raise ShapeMismatch("cocycle dimensions do not match u, v")
     acc = MatrixQ.zeros(u.dim[rel.target], v.dim[rel.source])
-    for coeff, name, prefix, suffix in twisted_factors(rel, u, v):
-        acc = acc + (prefix @ z.matrix(name) @ suffix).scale(coeff)
+    for coeff, path in rel.terms:
+        names = path.arrow_names
+        for j, name in enumerate(names):
+            term = z.matrix(name)
+            for pre in reversed(names[:j]):
+                term = u.matrix(pre) @ term
+            for post in names[j + 1:]:
+                term = term @ v.matrix(post)
+            acc = acc + term.scale(coeff)
     return acc
 
 

@@ -176,6 +176,34 @@ def test_invariants_on_a_huge_point_with_no_arrows_returns_at_once(tmp_path):
     assert "orbit_dim(M) = 0\n" in proc.stdout
 
 
+def test_invariants_refuses_an_oversized_system_with_exit_2(tmp_path):
+    # One arrow between two 1000-dimensional vertices: 10^6 x 2*10^6 cells.
+    q = write(tmp_path, "a2.quiver", A2_TEXT)
+    r = write(tmp_path, "big.rep", "dim v1 1000\ndim v2 1000\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "quivrep.cli", "invariants",
+                           "--quiver", q, "--rep", r],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "more than the cap" in proc.stderr
+
+
+def test_a_cli_child_does_not_import_graphlib(tmp_path):
+    q = write(tmp_path, "a2.quiver", A2_TEXT)
+    r = write(tmp_path, "p.rep", P_TEXT)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import sys\nfrom quivrep.cli import main\n"
+              f"main(['certify', '--quiver', {q!r}, '--rep', {r!r}, '--assume-gldim2'])\n"
+              "print('graphlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert "triangular = yes" in proc.stdout
+    assert proc.stdout.endswith("False\n")
+
+
 def test_euler_subcommand(tmp_path, capsys):
     q = write(tmp_path, "a2.quiver", A2_TEXT)
     code = main(["euler", "--quiver", q, "--dim", "v1=1,v2=1",

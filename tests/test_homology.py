@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from random import Random
 
@@ -28,7 +29,8 @@ from quivrep import (
 )
 
 from quivrep.errors import QuivrepError
-from quivrep.homology import cocycle_system
+from quivrep import homology
+from quivrep.homology import cocycle_system, intertwiner_matrix
 from quivrep.rep import cocycle_ambient_dim
 from util import random_bound_quiver, random_variety_pair
 
@@ -214,3 +216,31 @@ def test_iso_probable_dim_mismatch():
     p = make_rep(q, (1, 1), {"al": [[1]]})
     s1 = simple_rep(q, "v1")
     assert iso_probable(p, s1) == "NotIsomorphic"
+
+
+def test_oversized_systems_are_refused_before_anything_is_allocated():
+    # Every vertex has dimension 1000: the Hom system would have
+    # 2*10^6 x 3*10^6 cells and the cocycle system 10^6 x 2*10^6.
+    q = Quiver.build(("a", "b", "c"), (Arrow("x", "b", "a"), Arrow("y", "c", "b")))
+    bq = BoundQuiver.of(q, [Relation.of([(1, q.path(["x", "y"]))])])
+    big = make_rep(q, (1000, 1000, 1000))
+    calls = (lambda: hom_dim(big, big), lambda: ext_report(big, big, bq),
+             lambda: intertwiner_matrix(big, big), lambda: cocycle_system(big, big, bq))
+    start = time.perf_counter()
+    for call in calls:
+        with pytest.raises(QuivrepError, match="more than the cap of 10000000"):
+            call()
+    assert time.perf_counter() - start < 1
+    assert not hasattr(big, "_integer_form")  # the integer form was never built
+
+
+def test_the_cell_cap_admits_a_system_of_exactly_its_size(monkeypatch):
+    bq = a2()
+    p = make_rep(bq.quiver, (1, 1), {"al": [[1]]})
+    system = intertwiner_matrix(p, p)
+    cells = system.rows * system.cols
+    monkeypatch.setattr(homology, "MAX_CELLS", cells)
+    assert hom_dim(p, p) == 1
+    monkeypatch.setattr(homology, "MAX_CELLS", cells - 1)
+    with pytest.raises(QuivrepError, match="1 x 2 cells"):
+        hom_dim(p, p)

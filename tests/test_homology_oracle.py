@@ -2,11 +2,11 @@
 
 `oracle_intertwiner_matrix` and `oracle_cocycle_system` below are the
 `quivrep.homology` builders from before the systems were written row by
-row, kept verbatim with their `_add_block` helper.  They assemble each
-block from dense Kronecker products with identity matrices.  They live
-here as oracles only: every system the package builds must equal theirs
-entry for entry, so ranks, kernels, images and every report built on them
-are unchanged.
+row, kept verbatim with their `_add_block` helper and the Fraction
+`oracle_twisted_factors` they read.  They assemble each block from dense
+Kronecker products with identity matrices.  They live here as oracles
+only: every system the package builds must equal theirs entry for entry,
+so ranks, kernels, images and every report built on them are unchanged.
 """
 
 from fractions import Fraction
@@ -14,11 +14,11 @@ from random import Random
 
 import pytest
 
-from quivrep import Arrow, BoundQuiver, Quiver, make_rep, random_matrix
+from quivrep import (Arrow, BoundQuiver, ExtReport, Quiver, Relation, euler_form,
+                     ext_report, hom_dim, make_rep, random_matrix, rank)
 from quivrep.errors import QuivrepError
-from quivrep.homology import cocycle_system, intertwiner_matrix
+from quivrep.homology import cocycle_rows, cocycle_system, intertwiner_matrix
 from quivrep.linalg import MatrixQ, kron, vstack
-from quivrep.rep import twisted_factors
 from util import (hitting_set_point, random_bound_quiver, random_dims, random_relations,
                   random_variety_pair)
 
@@ -62,11 +62,31 @@ def _add_block(rows, block: MatrixQ, col_offset: int):
                 row[col_offset + j] += brow[j]
 
 
+def oracle_twisted_factors(rel, u, v):
+    """Yield (coeff, arrow name, prefix, suffix) for every slot of a relation.
+
+    For each term coeff * (a_1 ... a_m) and each position j, the slot is
+    a_j with prefix U_{a_1} ... U_{a_{j-1}} and suffix V_{a_{j+1}} ... V_{a_m}
+    (identities when empty): the factors before Z come from U, those after
+    from V.
+    """
+    for coeff, path in rel.terms:
+        names = path.arrow_names
+        for j, name in enumerate(names):
+            prefix = MatrixQ.identity(u.dim[path.target])
+            for pre in names[:j]:
+                prefix = prefix @ u.matrix(pre)
+            suffix = MatrixQ.identity(v.dim[path.source])
+            for post in reversed(names[j + 1:]):
+                suffix = v.matrix(post) @ suffix
+            yield coeff, name, prefix, suffix
+
+
 def oracle_cocycle_system(v, u, bq) -> MatrixQ:
     """Matrix of the twisted relation system whose kernel is Z(V, U).
 
     Unknowns are the stacked row-major entries of Z_a in arrow order; each
-    slot (coeff, a_j, prefix, suffix) of :func:`rep.twisted_factors` adds
+    slot (coeff, a_j, prefix, suffix) of :func:`oracle_twisted_factors` adds
     coeff * kron(prefix, suffix^T) to the block of a_j, since that is the
     row-major form of Z_{a_j} |-> prefix Z_{a_j} suffix.
     """
@@ -83,7 +103,7 @@ def oracle_cocycle_system(v, u, bq) -> MatrixQ:
     for rel in bq.relations:
         nrows = u.dim[rel.target] * v.dim[rel.source]
         block = [[Fraction(0)] * total for _ in range(nrows)]
-        for coeff, name, prefix, suffix in twisted_factors(rel, u, v):
+        for coeff, name, prefix, suffix in oracle_twisted_factors(rel, u, v):
             contrib = kron(prefix, suffix.transpose()).scale(coeff)
             _add_block(block, contrib, offsets[name])
         row_blocks.append(MatrixQ(nrows, total, tuple(tuple(r) for r in block)))
@@ -178,3 +198,64 @@ def test_builders_match_oracle_with_every_vertex_zero_dimensional():
     other = hitting_set_point(rng, bq, random_dims(rng, bq.quiver))
     assert_same_systems(zero, other, bq)
     assert_same_systems(zero, zero, bq)
+
+
+def with_rational_coefficients(bq, rng: Random):
+    """The same relations with every coefficient times 1/2, -3/7 or 5/3."""
+    factors = (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3))
+    return BoundQuiver.of(bq.quiver, [
+        Relation.of([(coeff * rng.choice(factors), path) for coeff, path in rel.terms])
+        for rel in bq.relations])
+
+
+def test_integer_ranks_match_the_oracle_systems_on_fractional_input():
+    """hom_dim and every ext_report field are cols - rank (or rank, or
+    rows - rank) of the oracle systems, on entries with denominators 2, 3
+    and 7 and relation coefficients with denominators 2, 7 and 3.  The
+    public matrices stay equal to the oracle's, entry for entry."""
+    rng = Random(1302)
+    scaled = mixed_lengths = 0
+    for _ in range(120):
+        quiver = random_quiver_with_cycles(rng)
+        bq = with_rational_coefficients(
+            BoundQuiver.of(quiver, random_relations(rng, quiver, 3)), rng)
+        u = with_rational_entries(random_rep(rng, quiver), rng)
+        v = with_rational_entries(random_rep(rng, quiver), rng)
+        for a, b in ((u, v), (v, u), (u, u)):
+            delta = oracle_intertwiner_matrix(a, b)
+            cocycles = oracle_cocycle_system(a, b, bq)
+            b_dim = rank(delta)
+            z_dim = cocycles.cols - rank(cocycles)
+            assert hom_dim(a, b) == delta.cols - b_dim
+            assert ext_report(a, b, bq, assert_gldim2=True) == ExtReport(
+                hom=delta.cols - b_dim, z_dim=z_dim, b_dim=b_dim, ext1=z_dim - b_dim,
+                euler=euler_form(a.dim, b.dim, bq), ext2=cocycles.rows - rank(cocycles))
+        assert_same_systems(u, v, bq)
+        scaled += any(s > 1 for s in cocycle_rows(u, v, bq).scales)
+        mixed_lengths += any(len({p.length for _, p in rel.terms}) > 1 for rel in bq.relations)
+    assert scaled > 40 and mixed_lengths > 10
+
+
+def test_ext_report_on_integral_points_builds_no_fraction(monkeypatch):
+    rng = Random(1303)
+    cases = []
+    for _ in range(40):
+        bq = random_bound_quiver(rng)
+        u, v = random_variety_pair(rng, bq)
+        cases.append((u, v, bq))
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for u, v, bq in cases:
+        ext_report(u, v, bq, assert_gldim2=True)
+        ext_report(v, u, bq)
+        hom_dim(u, u)
+    assert built == []
+    # The patch does see Fractions: the exact matrices build them.
+    intertwiner_matrix(*cases[0][:2])
+    assert built

@@ -1,4 +1,6 @@
+import graphlib
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -134,6 +136,33 @@ def test_is_triangular():
     assert is_triangular(a3())
     loop = Quiver.build(("v", "w"), (Arrow("a", "v", "w"), Arrow("b", "w", "v")))
     assert not is_triangular(loop)
+
+
+def test_is_triangular_agrees_with_graphlib_and_is_kept_per_quiver():
+    """`graphlib.TopologicalSorter` is the oracle, on seeded quivers whose
+    arrows join any two vertices, so loops and 2-cycles are common."""
+    rng = Random(1301)
+    seen = {"loop": 0, "two_cycle": 0, "acyclic": 0, "cyclic": 0}
+    for _ in range(400):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 6))]
+        arrows = [(f"a{k}", rng.choice(vertices), rng.choice(vertices))
+                  for k in range(rng.randint(0, 7))]
+        quiver = Quiver.build(vertices, arrows)
+        sorter = graphlib.TopologicalSorter({v: [] for v in vertices})
+        for _, source, target in arrows:
+            sorter.add(target, source)
+        try:
+            sorter.prepare()
+            want = True
+        except graphlib.CycleError:
+            want = False
+        assert is_triangular(quiver) is want
+        assert quiver.__dict__["_triangular"] is want
+        ends = {(s, t) for _, s, t in arrows}
+        seen["loop"] += any(s == t for s, t in ends)
+        seen["two_cycle"] += any(s != t and (t, s) in ends for s, t in ends)
+        seen["acyclic" if want else "cyclic"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_minimal_convex():

@@ -1,5 +1,6 @@
 """The runnable scripts under ``scripts/``, run as subprocesses."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,26 @@ def test_regularity_survey_stdout_is_deterministic():
     assert runs[0].stdout == runs[1].stdout
     assert "surveyed 20 points" in runs[0].stdout
     assert "CertifiedRegular      20  (100.0%)" in runs[0].stdout
+
+
+def test_bench_pairs_runs_one_survey_pair_and_writes_the_comparison(tmp_path):
+    # The current tree on both sides: one short pair, judged on ops_per_s.
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, os.path.join(ROOT, "scripts", "bench_pairs.py"),
+            "--parent", ROOT, "--change", ROOT, "--workload", "survey", "--seeds", "7",
+            "--seconds", "1", "--claim", "ops_per_s", "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(out.read_text())
+    survey = bench["end_to_end"]["survey"]
+    assert survey["seeds"] == [7] and survey["pairs"] == 1
+    spec = json.loads(open(os.path.join(ROOT, "BENCHMARK.json")).read())
+    assert list(survey["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+    for side in ("parent", "change"):
+        runs = survey["runs"][side]
+        assert runs["all_correct"] and runs["failed"] == 0
+        assert runs["passes_per_run"][0] >= 3
+    ops = survey["metrics"]["ops_per_s"]
+    assert ops["per_seed"]["7"] == [ops["parent"]["median"], ops["change"]["median"]]
+    assert bench["claim"]["metric"] == "ops_per_s"
+    assert bench["claim"]["change_wins"] in ("0/1", "1/1")
