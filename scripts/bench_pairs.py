@@ -13,6 +13,10 @@ medians, the pairs the change wins (ties count for neither side), the
 parent's interquartile range and every pair's values; per side it
 records the pass counts, op counts and source digests.  Results merge by
 workload into the output file, so one file can hold several invocations.
+The ``source`` section holds, per side, the line count of ``src/quivrep``
+and each module's median ``compile()`` time: a fresh import under
+``PYTHONDONTWRITEBYTECODE=1`` compiles every module it loads, so source
+size shows up in ``setup_s`` and in every ``cli`` child.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -27,6 +31,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -37,7 +42,8 @@ METHOD = ("Each side ran from its own copy of perfbench/, BENCHMARK.json and src
           "runs of each side; quartiles from statistics.quantiles(values, n=4). Times are "
           "the benchmark's host-speed-scaled figures; 'unscaled' holds the raw ones. "
           "change_wins counts pairs where the change is better, ties counting for neither "
-          "side.")
+          "side. 'source' holds each side's src/quivrep line count and the median "
+          "in-process compile() time of each module, both sides alternating.")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
@@ -52,6 +58,28 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         raise SystemExit(f"{tree}: run.py {workload} seed {seed} printed no result "
                          f"(exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def source_stats(trees: dict, repeats: int = 21) -> dict:
+    """Per side: the line count of src/quivrep and each module's median
+    compile() time in ms, the sides alternating within each repeat."""
+    texts = {side: {path.name: path.read_text()
+                    for path in sorted((tree / "src" / "quivrep").glob("*.py"))}
+             for side, tree in trees.items()}
+    times = {side: {name: [] for name in files} for side, files in texts.items()}
+    for _ in range(repeats):
+        for side, files in texts.items():
+            for name, text in files.items():
+                start = time.perf_counter()
+                compile(text, name, "exec", dont_inherit=True)
+                times[side][name].append(time.perf_counter() - start)
+    out = {}
+    for side, files in texts.items():
+        compile_ms = {name: r(statistics.median(ts) * 1e3) for name, ts in times[side].items()}
+        out[side] = {"lines": sum(text.count("\n") for text in files.values()),
+                     "compile_ms_total": r(sum(compile_ms.values())),
+                     "compile_ms": compile_ms}
+    return out
 
 
 def spread(values: list) -> dict:
@@ -147,7 +175,8 @@ def main(argv=None) -> int:
     first = runs["parent"][0][0]
     out.update(command=COMMAND, method=METHOD,
                parent_commit=first["git_sha"],
-               machine={"nproc": first["nproc"], "python": first["python"]})
+               machine={"nproc": first["nproc"], "python": first["python"]},
+               source=source_stats(trees))
     section = compare(args.workload, args.seeds, runs, spec)
     out.setdefault("end_to_end", {})[args.workload] = section
     if args.claim:

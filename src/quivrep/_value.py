@@ -5,12 +5,12 @@ tuple (usually also its ``__slots__``).  :class:`Value` derives from that
 tuple what a frozen dataclass would generate: a constructor that binds
 positionals, then keywords, in field order and raises TypeError on a
 missing, unknown or twice-given field; equality between instances of one
-class with equal fields; a hash of the fields; the
-``Name(field=value, ...)`` repr; and an AttributeError on assignment or
-deletion.  A validating subclass checks its arguments, then calls
-``super().__init__``; ``linalg.MatrixQ``, built in hot loops, writes its
-constructor out with ``_set = object.__setattr__``.  The field getter is
-an ``operator.attrgetter`` built once, when the class is defined.
+class with equal fields (an instance at once equals itself); a hash of the
+fields; the ``Name(field=value, ...)`` repr; and an AttributeError on
+assignment or deletion.  A validating subclass checks its arguments, then
+calls ``super().__init__``; ``linalg.MatrixQ``, built in hot loops, writes
+its constructor out with ``_set = object.__setattr__``.  The field getter
+is an ``operator.attrgetter`` built once, when the class is defined.
 """
 
 from operator import attrgetter
@@ -44,7 +44,7 @@ class Value:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
+            return other is self or self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self):

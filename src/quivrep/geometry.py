@@ -84,10 +84,7 @@ def regularity_certificate(m: Representation, bq: BoundQuiver,
     expected = expected_dim(m.dim, bq)
     verdict = "NotApplicable"
     if triangular and assert_gldim2:
-        if rep.ext2 == 0:
-            verdict = "CertifiedRegular"
-        else:
-            verdict = "BoundOnly"
+        verdict = "CertifiedRegular" if rep.ext2 == 0 else "BoundOnly"
     return RegularityCertificate(
         dim_vector=m.dim, triangular=triangular, gldim2_asserted=assert_gldim2,
         end_dim=rep.hom, ext1_self=rep.ext1, ext2_self=rep.ext2,

@@ -34,7 +34,7 @@ form vec(A X B) = kron(A, B^T) vec(X) of each block, entry for entry,
 without forming the mostly-zero products with identity matrices.
 
 A writer refuses, with a :class:`QuivrepError`, a system of more than
-:data:`MAX_CELLS` cells before it allocates a row or an integer form.
+:data:`linalg.MAX_CELLS` cells before it allocates a row or an integer form.
 
 The dimensions computed here are field-independent: the systems have
 rational coefficients, so ranks over the rationals agree with ranks over
@@ -44,19 +44,16 @@ any extension field.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 
 from ._value import Value
 from .errors import QuivrepError
-from .linalg import (MatrixQ, MatrixZ, image_basis, is_invertible, kernel_basis, rank,
-                     seeded_rng)
+from .linalg import (MAX_CELLS, MatrixQ, MatrixZ, image_basis, is_invertible, kernel_basis,
+                     rank, seeded_rng)
 from .quiver import BoundQuiver, Relation, euler_form
-from .rep import CocycleElement, Representation
-
-# The most cells (rows x cols) a system may have.  Pure-Python elimination
-# of a system this size already takes hours, so no option lifts the cap.
-MAX_CELLS = 10**7
+from .rep import CocycleElement, Representation, _times
 
 
 def _check_size(rows: int, cols: int, what: str) -> None:
@@ -76,21 +73,15 @@ def intertwiner_rows(m: Representation, n: Representation) -> MatrixZ:
     """
     if m.quiver != n.quiver:
         raise QuivrepError("representations on different quivers")
-    quiver = m.quiver
-    m_dim = dict(zip(quiver.vertices, m.dim.entries))
-    n_dim = dict(zip(quiver.vertices, n.dim.entries))
-    offsets = {}
-    total = 0
-    for v in quiver.vertices:
-        offsets[v] = total
-        total += n_dim[v] * m_dim[v]
-    _check_size(sum(n_dim[a.target] * m_dim[a.source] for a in quiver.arrows), total,
-                "intertwiner")
+    ends = m.quiver.arrow_ends
+    m_dim, n_dim = m.dim.entries, n.dim.entries
+    offsets = list(accumulate(map(mul, m_dim, n_dim), initial=0))
+    total = offsets.pop()
+    _check_size(sum([n_dim[t] * m_dim[s] for s, t in ends]), total, "intertwiner")
     d_m, m_mats = m.integer_form
     d_n, n_mats = n.integer_form
     rows = []
-    for arrow, m_a, n_a in zip(quiver.arrows, m_mats, n_mats):
-        s, t = arrow.source, arrow.target
+    for (s, t), m_a, n_a in zip(ends, m_mats, n_mats):
         width_s, width_t = m_dim[s], m_dim[t]
         if not (width_s and n_a):
             continue  # the arrow's block has no rows
@@ -160,12 +151,6 @@ def _identity(n: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _times(a: tuple, b: tuple, cols: int) -> tuple:
-    """a @ b for int matrices held as row tuples; b has `cols` columns."""
-    b_cols = tuple(zip(*b)) if b else ((),) * cols
-    return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
-
-
 def _twisted_slots(rel: Relation, u: Representation, v: Representation) -> tuple:
     """The slots of a relation in integer form, as (scale, slots).
 
@@ -183,30 +168,28 @@ def _twisted_slots(rel: Relation, u: Representation, v: Representation) -> tuple
     * c = coeff D d_U^(L-j) d_V^(L-1-m+j).
 
     The prefixes of a term are one running product from the left, and its
-    suffixes one from the right.
+    suffixes one from the right; a_j is given by its arrow index.
     """
-    quiver = u.quiver
-    index = quiver.arrow_index
+    index = u.quiver.arrow_index
     d_u, u_mats = u.integer_form
     d_v, v_mats = v.integer_form
-    longest = max(path.length for _, path in rel.terms)
+    longest = max(len(path.arrow_names) for _, path in rel.terms)
     den = lcm(*[coeff.denominator for coeff, _ in rel.terms])
     slots = []
     for coeff, path in rel.terms:
-        names = path.arrow_names
-        m = len(names)
-        prefixes = [_identity(u.dim[path.target])]
-        for name in names[:-1]:
-            k = index[name]
-            prefixes.append(_times(prefixes[-1], u_mats[k], u.dim[quiver.arrows[k].source]))
-        suffix = _identity(v.dim[path.source])
+        ks = [index[name] for name in path.arrow_names]
+        m = len(ks)
+        prefixes = [_identity(u.matrices[ks[0]].rows)]
+        for k in ks[:-1]:
+            prefixes.append(_times(prefixes[-1], u_mats[k], u.matrices[k].cols))
+        suffix = _identity(v.matrices[ks[-1]].cols)
         width = len(suffix)
         c = coeff.numerator * (den // coeff.denominator)
         for j in range(m - 1, -1, -1):  # right to left, so the suffix grows by one factor
             slots.append((c * d_u ** (longest - 1 - j) * d_v ** (longest - m + j),
-                          names[j], prefixes[j], suffix))
+                          ks[j], prefixes[j], suffix))
             if j:
-                suffix = _times(v_mats[index[names[j]]], suffix, width)
+                suffix = _times(v_mats[ks[j]], suffix, width)
     return d_u ** (longest - 1) * d_v ** (longest - 1) * den, slots
 
 
@@ -222,28 +205,23 @@ def cocycle_rows(v: Representation, u: Representation, bq: BoundQuiver) -> Matri
     quiver = bq.quiver
     if u.quiver != quiver or v.quiver != quiver:
         raise QuivrepError("representations on a different quiver")
-    u_dim = dict(zip(quiver.vertices, u.dim.entries))
-    v_dim = dict(zip(quiver.vertices, v.dim.entries))
-    offsets = {}
-    pos = 0
-    for arrow in quiver.arrows:
-        offsets[arrow.name] = pos
-        pos += u_dim[arrow.target] * v_dim[arrow.source]
-    total = pos
-    ends = [(rel, rel.source, rel.target) for rel in bq.relations]
-    _check_size(sum(u_dim[t] * v_dim[s] for _, s, t in ends), total, "cocycle")
+    u_dim, v_dim = u.dim.entries, v.dim.entries
+    offsets = list(accumulate([u_dim[t] * v_dim[s] for s, t in quiver.arrow_ends], initial=0))
+    total = offsets.pop()
+    ends = bq.relation_ends
+    _check_size(sum([u_dim[t] * v_dim[s] for s, t in ends]), total, "cocycle")
     rows, scales = [], []
-    for rel, source, target in ends:
+    for rel, (source, target) in zip(bq.relations, ends):
         width = v_dim[source]
         block = [[0] * total for _ in range(u_dim[target] * width)]
         scale, slots = _twisted_slots(rel, u, v)
-        for coeff, name, prefix, suffix in slots:
+        for coeff, arrow, prefix, suffix in slots:
             # Z_{a_j}[i, k] is unknown offset + i * w + k, with w = v.dim[source(a_j)].
             w = len(suffix)
             s_cols = [[(k, coeff * row[c]) for k, row in enumerate(suffix) if row[c]]
                       for c in range(width)]
             for r, p_row in enumerate(prefix):
-                p_nz = [(offsets[name] + i * w, p) for i, p in enumerate(p_row) if p]
+                p_nz = [(offsets[arrow] + i * w, p) for i, p in enumerate(p_row) if p]
                 if not p_nz:
                     continue
                 for c, s_nz in enumerate(s_cols):
@@ -316,9 +294,7 @@ def ext_report(m: Representation, n: Representation, bq: BoundQuiver,
     z = cocycles.cols - rank(cocycles)
     ext1 = z - b
     euler = euler_form(m.dim, n.dim, bq)
-    ext2 = None
-    if assert_gldim2:
-        ext2 = euler - hom + ext1
+    ext2 = euler - hom + ext1 if assert_gldim2 else None
     return ExtReport(hom, z, b, ext1, euler, ext2)
 
 

@@ -14,9 +14,12 @@ place of Bareiss's exact division by the previous pivot.  `rank` stops
 after forward elimination and builds no Fraction; `rref` divides only the
 final pivot rows back into Fractions.  The reduced row echelon form is
 unique, so this gives exactly the values of a Fraction Gauss-Jordan
-elimination, without its per-entry gcds.  Matrices are immutable;
-zero-by-n and n-by-zero shapes are first-class citizens because
-representations routinely carry them at unsupported vertices.
+elimination, without its per-entry gcds.  `rank` takes the short side:
+a system with more nonzero rows than columns is eliminated as its
+transpose (rank A = rank A^T).  :func:`kernel_basis` refuses a basis of
+more than :data:`MAX_CELLS` entries.  Matrices are immutable; zero-by-n
+and n-by-zero shapes are first-class citizens because representations
+routinely carry them at unsupported vertices.
 
 Randomness: every random draw goes through :func:`seeded_rng`, which seeds
 the standard Mersenne Twister (`random.Random`) with the SHA-512 digest of
@@ -33,17 +36,17 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._value import Value, _set
-from .errors import ShapeMismatch
+from .errors import QuivrepError, ShapeMismatch
 
-Q = Fraction
+# The most cells of a system, or entries of a kernel basis.  Eliminating a
+# system this size in pure Python already takes hours; no option lifts it.
+MAX_CELLS = 10**7
 
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -193,12 +196,8 @@ def block_matrix(grid: Sequence[Sequence[MatrixQ]]) -> MatrixQ:
 
 
 def kron(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    """Kronecker product.
-
-    With row-major vectorisation, vec(A X B) = kron(A, B^T) vec(X).  The
-    systems in :mod:`quivrep.homology` use this identity entry by entry and
-    write only the nonzero entries, so they do not call this function.
-    """
+    """Kronecker product: vec(A X B) = kron(A, B^T) vec(X), row-major.  The
+    systems of :mod:`quivrep.homology` write this entry by entry instead."""
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     data = []
@@ -292,16 +291,21 @@ def rref(m: MatrixQ):
     pivots = _echelon(rows, m.cols, reduce=True)
     out = [tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
            for row, c in zip(rows, pivots)]
-    out.extend([(_ZERO,) * m.cols] * (m.rows - len(pivots)))
+    if m.rows > len(pivots):  # one zero row, shared; a system without rows builds none
+        out.extend([(_ZERO,) * m.cols] * (m.rows - len(pivots)))
     return MatrixQ(m.rows, m.cols, tuple(out)), pivots
 
 
 def rank(m: MatrixQ | MatrixZ) -> int:
-    """Number of pivots after forward elimination on integers."""
+    """Number of pivots after forward elimination on integers, along the
+    short side: with more nonzero rows than columns, of the nonzero columns."""
     if isinstance(m, MatrixZ):
         rows = [row for row in m.data if any(row)]
     else:
         rows = _integer_rows(m.data)
+    if len(rows) > m.cols:
+        cols = [col for col in zip(*rows) if any(col)]
+        return len(_echelon(cols, len(rows), reduce=False))
     return len(_echelon(rows, m.cols, reduce=False))
 
 
@@ -309,9 +313,14 @@ def kernel_basis(m: MatrixQ):
     """Basis of the right null space {v : m v = 0}, as row vectors.
 
     One basis vector per free column, with a 1 in the free position; this
-    makes the basis canonical for a fixed input matrix.
+    makes the basis canonical for a fixed input matrix.  A basis of more
+    than MAX_CELLS entries is refused before it is built.
     """
     reduced, pivots = rref(m)
+    nullity = m.cols - len(pivots)
+    if nullity * m.cols > MAX_CELLS:
+        raise QuivrepError(f"the kernel basis would have {nullity} x {m.cols} entries, "
+                           f"more than the cap of {MAX_CELLS}")
     pivot_set = dict.fromkeys(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -325,13 +334,11 @@ def kernel_basis(m: MatrixQ):
 
 
 def image_basis(m: MatrixQ):
-    """Basis of the column space, as row vectors of length m.rows."""
-    reduced, _ = rref(m.transpose())
-    out = []
-    for row in reduced.data:
-        if any(x for x in row):
-            out.append(tuple(row))
-    return out
+    """Basis of the column space, as row vectors of length m.rows.  The
+    transpose is a zip of the rows, so a matrix without rows has none."""
+    cols = tuple(zip(*m.data))
+    reduced, _ = rref(MatrixQ(len(cols), m.rows, cols))
+    return [row for row in reduced.data if any(row)]
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:

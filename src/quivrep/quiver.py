@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from ._value import Value
 from .errors import MixedEndpoints, NonComposable, QuivrepError
@@ -60,14 +61,20 @@ class Quiver(Value):
         return {a.name: i for i, a in enumerate(self.arrows)}
 
     @cached_property
+    def arrow_ends(self) -> tuple:
+        """(source index, target index) of each arrow, in arrow order."""
+        index = self.vertex_index
+        return tuple([(index[a.source], index[a.target]) for a in self.arrows])
+
+    @cached_property
     def _triangular(self) -> bool:
         """Kahn's algorithm: strip vertices with no arrow in until none is left."""
-        into = dict.fromkeys(self.vertices, 0)
-        out = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            into[a.target] += 1
-            out[a.source].append(a.target)
-        ready = [v for v, k in into.items() if k == 0]
+        into = [0] * len(self.vertices)
+        out = [[] for _ in self.vertices]
+        for s, t in self.arrow_ends:
+            into[t] += 1
+            out[s].append(t)
+        ready = [v for v, k in enumerate(into) if k == 0]
         stripped = 0
         while ready:
             stripped += 1
@@ -194,6 +201,13 @@ class BoundQuiver(Value):
     def is_admissible(self) -> bool:
         return all(rel.is_admissible for rel in self.relations)
 
+    @property
+    def relation_ends(self) -> list:
+        """(source index, target index) of each relation, by its first path."""
+        ends, index = self.quiver.arrow_ends, self.quiver.arrow_index
+        return [(ends[index[p[-1]]][0], ends[index[p[0]]][1])
+                for p in [rel.terms[0][1].arrow_names for rel in self.relations]]
+
 
 class DimVector(Value):
     """A nonnegative integer per vertex, stored in declaration order."""
@@ -229,7 +243,7 @@ class DimVector(Value):
 
     def glsum(self) -> int:
         """dim GL(d) = sum of squares of the entries."""
-        return sum(x * x for x in self.entries)
+        return sum(map(mul, self.entries, self.entries))
 
     def __str__(self) -> str:
         return ",".join(f"{v}={x}" for v, x in zip(self.quiver.vertices, self.entries))
@@ -248,12 +262,9 @@ def euler_form(d1: DimVector, d2: DimVector, bq: BoundQuiver) -> int:
     quiver = bq.quiver
     if d1.quiver != quiver or d2.quiver != quiver:
         raise QuivrepError("dimension vectors on a different quiver")
-    value = sum(a * b for a, b in zip(d1.entries, d2.entries))
-    for arrow in quiver.arrows:
-        value -= d1[arrow.source] * d2[arrow.target]
-    for rel in bq.relations:
-        value += d1[rel.source] * d2[rel.target]
-    return value
+    x, y = d1.entries, d2.entries
+    return (sum(map(mul, x, y)) - sum([x[s] * y[t] for s, t in quiver.arrow_ends])
+            + sum([x[s] * y[t] for s, t in bq.relation_ends]))
 
 
 def tits_form(d: DimVector, bq: BoundQuiver) -> int:
@@ -267,12 +278,11 @@ def expected_dim(d: DimVector, bq: BoundQuiver) -> int:
     Sum of arrow matrix sizes minus the sizes of the relation equations;
     always equals dim GL(d) - q(d).
     """
-    quiver = bq.quiver
-    if d.quiver != quiver:
+    if d.quiver != bq.quiver:
         raise QuivrepError("dimension vector on a different quiver")
-    value = sum(d[a.source] * d[a.target] for a in quiver.arrows)
-    value -= sum(d[r.source] * d[r.target] for r in bq.relations)
-    return value
+    x = d.entries
+    return (sum([x[s] * x[t] for s, t in bq.quiver.arrow_ends])
+            - sum([x[s] * x[t] for s, t in bq.relation_ends]))
 
 
 # -- structural predicates and closures --------------------------------

@@ -18,7 +18,10 @@ below V into a middle term W with arrow blocks [[U_a, Z_a], [0, V_a]].
 Every representation also has an integer form, computed on first use and
 kept: its arrow matrices times the lcm of all their denominators.  The
 linear systems of :mod:`quivrep.homology` are written from these integer
-forms.
+forms, and :meth:`Representation.is_variety_point` checks relations on
+them: a path of length m is d^m times its value, so a relation vanishes
+when the sum of coeff * D * d^(L-m) * path does (L its longest path, D
+the lcm of its coefficient denominators).
 """
 
 from __future__ import annotations
@@ -26,11 +29,18 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from ._value import Value, _set
 from .errors import QuivrepError, ShapeMismatch
 from .linalg import MatrixQ, block_matrix
-from .quiver import BoundQuiver, DimVector, Path, Quiver, Relation
+from .quiver import BoundQuiver, DimVector, Quiver, Relation
+
+
+def _times(a: tuple, b: tuple, cols: int) -> tuple:
+    """a @ b for int matrices held as row tuples; b has `cols` columns."""
+    b_cols = tuple(zip(*b)) if b else ((),) * cols
+    return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
 
 
 class Representation(Value):
@@ -73,25 +83,27 @@ class Representation(Value):
         _set(self, "_integer_form", (d, mats))
         return self._integer_form
 
-    def evaluate_path(self, path: Path) -> MatrixQ:
-        if path.quiver != self.quiver:
-            raise QuivrepError("path on a different quiver")
-        out = self.matrix(path.arrow_names[0])
-        for name in path.arrow_names[1:]:
-            out = out @ self.matrix(name)
-        return out
-
-    def evaluate_relation(self, rel: Relation) -> MatrixQ:
-        acc = None
-        for coeff, path in rel.terms:
-            term = self.evaluate_path(path).scale(coeff)
-            acc = term if acc is None else acc + term
-        return acc
-
     def is_variety_point(self, bq: BoundQuiver) -> bool:
+        """Whether every relation vanishes, on the integer form (see above)."""
         if bq.quiver != self.quiver:
             raise QuivrepError("representation on a different quiver")
-        return all(self.evaluate_relation(rel).is_zero() for rel in bq.relations)
+        d, mats = self.integer_form
+        index = self.quiver.arrow_index
+        for rel in bq.relations:
+            longest = max(len(path.arrow_names) for _, path in rel.terms)
+            den = lcm(*[coeff.denominator for coeff, _ in rel.terms])
+            coeffs, values = [], []
+            for coeff, path in rel.terms:
+                ks = [index[name] for name in path.arrow_names]
+                value = mats[ks[0]]
+                for k in ks[1:]:
+                    value = _times(value, mats[k], self.matrices[k].cols)
+                coeffs.append(coeff.numerator * (den // coeff.denominator) * d ** (longest - len(ks)))
+                values.append(value)
+            if any(sum(map(mul, coeffs, entries))
+                   for rows in zip(*values) for entries in zip(*rows)):
+                return False
+        return True
 
 
 def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -> Representation:
@@ -135,10 +147,8 @@ def conjugate(m: Representation, g: Mapping[str, MatrixQ]) -> Representation:
     from .linalg import inverse
 
     g_inv = {v: inverse(g[v]) for v in m.quiver.vertices}
-    mats = []
-    for arrow, a in zip(m.quiver.arrows, m.matrices):
-        mats.append(g[arrow.target] @ a @ g_inv[arrow.source])
-    return Representation.of(m.quiver, m.dim, mats)
+    return Representation.of(m.quiver, m.dim, [g[arrow.target] @ a @ g_inv[arrow.source]
+                                               for arrow, a in zip(m.quiver.arrows, m.matrices)])
 
 
 # -- cocycles and middle terms ------------------------------------------

@@ -176,6 +176,21 @@ def test_invariants_on_a_huge_point_with_no_arrows_returns_at_once(tmp_path):
     assert "orbit_dim(M) = 0\n" in proc.stdout
 
 
+def test_iso_on_a_huge_point_with_no_arrows_refuses_its_hom_basis_with_exit_2(tmp_path):
+    # Both Hom systems are empty, but a Hom basis would be 10^16 vectors of
+    # length 10^16: the kernel basis cap refuses it before allocating it.
+    q = write(tmp_path, "one.quiver", "vertex a\n")
+    r = write(tmp_path, "big.rep", "dim a 100000000\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "quivrep.cli", "iso",
+                           "--quiver", q, "--rep", r, "--rep2", r],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "more than the cap of 10000000" in proc.stderr
+
+
 def test_invariants_refuses_an_oversized_system_with_exit_2(tmp_path):
     # One arrow between two 1000-dimensional vertices: 10^6 x 2*10^6 cells.
     q = write(tmp_path, "a2.quiver", A2_TEXT)

@@ -244,3 +244,23 @@ def test_the_cell_cap_admits_a_system_of_exactly_its_size(monkeypatch):
     monkeypatch.setattr(homology, "MAX_CELLS", cells - 1)
     with pytest.raises(QuivrepError, match="1 x 2 cells"):
         hom_dim(p, p)
+
+
+def test_bases_beyond_the_cap_are_refused_before_they_are_allocated():
+    # One vertex of dimension 10^4 and no arrow: the Hom system has no rows
+    # and 10^8 columns, so its kernel basis would hold 10^8 x 10^8 entries.
+    # One arrow from a 1- to a 10^4-dimensional vertex and no relation: the
+    # cocycle system has no rows, and its kernel basis 10^4 x 10^4 entries.
+    one = Quiver.build(("a",), ())
+    big = make_rep(one, (10 ** 4,))
+    arrow = BoundQuiver.of(Quiver.build(("a", "b"), (Arrow("x", "a", "b"),)), ())
+    wide = make_rep(arrow.quiver, (1, 10 ** 4))
+    start = time.perf_counter()
+    assert hom_dim(big, big) == 10 ** 8
+    with pytest.raises(QuivrepError, match="100000000 x 100000000 entries"):
+        hom_basis(big, big)
+    with pytest.raises(QuivrepError, match="10000 x 10000 entries"):
+        cocycle_space(wide, wide, arrow)
+    # The image of a system without rows is empty, however wide it is.
+    assert coboundary_space(big, big).dim == 0
+    assert time.perf_counter() - start < 1

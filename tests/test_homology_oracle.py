@@ -14,13 +14,14 @@ from random import Random
 
 import pytest
 
-from quivrep import (Arrow, BoundQuiver, ExtReport, Quiver, Relation, euler_form,
-                     ext_report, hom_dim, make_rep, random_matrix, rank)
+from quivrep import (BoundQuiver, ExtReport, Quiver, euler_form, ext_report, hom_dim,
+                     make_rep, rank)
 from quivrep.errors import QuivrepError
 from quivrep.homology import cocycle_rows, cocycle_system, intertwiner_matrix
 from quivrep.linalg import MatrixQ, kron, vstack
-from util import (hitting_set_point, random_bound_quiver, random_dims, random_relations,
-                  random_variety_pair)
+from util import (hitting_set_point, random_bound_quiver, random_dims, random_quiver_with_cycles,
+                  random_relations, random_rep, random_variety_pair, with_rational_coefficients,
+                  with_rational_entries)
 
 
 def oracle_intertwiner_matrix(m, n) -> MatrixQ:
@@ -121,34 +122,6 @@ def assert_same_systems(m, n, bq):
             assert all(isinstance(x, Fraction) for x in got.entries())
 
 
-def with_rational_entries(rep, rng: Random):
-    """The same representation with every nonzero entry scaled by a random
-    non-integer rational.  Zero matrices stay zero, so a hitting-set point
-    stays a variety point."""
-    mats = {}
-    for arrow, mat in zip(rep.quiver.arrows, rep.matrices):
-        mats[arrow.name] = MatrixQ(mat.rows, mat.cols, tuple(
-            tuple(x * Fraction(rng.choice([1, -1, 5]), rng.choice([2, 3, 7])) for x in row)
-            for row in mat.data))
-    return make_rep(rep.quiver, rep.dim, mats)
-
-
-def random_quiver_with_cycles(rng: Random) -> Quiver:
-    """Arrows between any two vertices, loops included, so that relation
-    paths can pass through one arrow more than once."""
-    n = rng.randint(1, 3)
-    vertices = tuple(f"v{i}" for i in range(1, n + 1))
-    arrows = [Arrow(f"a{k + 1}", rng.choice(vertices), rng.choice(vertices))
-              for k in range(rng.randint(1, 4))]
-    return Quiver.build(vertices, arrows)
-
-
-def random_rep(rng: Random, quiver: Quiver):
-    dims = random_dims(rng, quiver, 3)
-    mats = {a.name: random_matrix(dims[a.target], dims[a.source], rng, 2) for a in quiver.arrows}
-    return make_rep(quiver, dims, mats)
-
-
 def test_builders_match_oracle_on_seeded_variety_pairs():
     """200 seeded pairs from the shared generators, in both orders, half of
     them with non-integer entries; zero-dimensional vertices are common."""
@@ -198,14 +171,6 @@ def test_builders_match_oracle_with_every_vertex_zero_dimensional():
     other = hitting_set_point(rng, bq, random_dims(rng, bq.quiver))
     assert_same_systems(zero, other, bq)
     assert_same_systems(zero, zero, bq)
-
-
-def with_rational_coefficients(bq, rng: Random):
-    """The same relations with every coefficient times 1/2, -3/7 or 5/3."""
-    factors = (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3))
-    return BoundQuiver.of(bq.quiver, [
-        Relation.of([(coeff * rng.choice(factors), path) for coeff, path in rel.terms])
-        for rel in bq.relations])
 
 
 def test_integer_ranks_match_the_oracle_systems_on_fractional_input():

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from quivrep.errors import ShapeMismatch
+from quivrep import linalg
+from quivrep.errors import QuivrepError, ShapeMismatch
 from quivrep.linalg import (
     MatrixQ,
     block_matrix,
@@ -153,3 +154,16 @@ def test_random_invertible_is_invertible():
     for n in (1, 2, 3, 4):
         g = random_invertible(n, rng)
         assert is_invertible(g)
+
+
+def test_kernel_basis_refuses_more_entries_than_the_cap(monkeypatch):
+    # A 0 x 3 matrix has a kernel basis of 3 vectors of length 3.
+    empty = MatrixQ(0, 3, ())
+    monkeypatch.setattr(linalg, "MAX_CELLS", 9)
+    assert kernel_basis(empty) == [tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
+    monkeypatch.setattr(linalg, "MAX_CELLS", 8)
+    with pytest.raises(QuivrepError, match="3 x 3 entries, more than the cap of 8"):
+        kernel_basis(empty)
+    # A full-rank system has an empty basis, whatever the cap.
+    monkeypatch.setattr(linalg, "MAX_CELLS", 0)
+    assert kernel_basis(M([[1, 2], [3, 4]])) == []

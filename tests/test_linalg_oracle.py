@@ -7,9 +7,13 @@ reduced row echelon form is unique, so `rank`, `rref` and everything built
 on `rref` (`kernel_basis`, `image_basis`, `inverse`) must return identical
 values under both cores.  The derived functions are run
 once as they are and once with `linalg.rref` swapped for the oracle's.
+`rank` eliminates a tall system as its transpose, so it is also checked on
+tall, wide and row-less matrices, as `MatrixQ` and as `MatrixZ`, against
+the oracle and against the rank of the transpose.
 """
 
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 from hypothesis import given, settings
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 from quivrep import linalg
 from quivrep.errors import ShapeMismatch
-from quivrep.linalg import MatrixQ, image_basis, inverse, kernel_basis, rank, rref
+from quivrep.linalg import MatrixQ, MatrixZ, image_basis, inverse, kernel_basis, rank, rref
 
 
 def _oracle_echelon(table):
@@ -96,6 +100,27 @@ def matrices(draw, square=False, max_dim=6):
     with some rows zeroed."""
     rows = draw(st.integers(0, max_dim))
     cols = rows if square else draw(st.integers(0, max_dim))
+    return _filled(draw, rows, cols)
+
+
+@st.composite
+def oriented(draw):
+    """Tall (more rows than columns), wide, or without rows; some tall ones
+    have zero columns as well as zero rows."""
+    kind = draw(st.sampled_from(("tall", "wide", "zero-row")))
+    short = draw(st.integers(0, 5))
+    long = draw(st.integers(short + 1, 12))
+    if kind == "zero-row":
+        return MatrixQ(0, long, ())
+    m = _filled(draw, long, short) if kind == "tall" else _filled(draw, short, long)
+    if kind == "tall" and short and draw(st.booleans()):
+        j = draw(st.integers(0, short - 1))
+        m = MatrixQ(m.rows, m.cols, tuple(row[:j] + (Fraction(0),) + row[j + 1:]
+                                          for row in m.data))
+    return m
+
+
+def _filled(draw, rows, cols):
     if draw(st.booleans()) and rows and cols:
         k = draw(st.integers(0, min(rows, cols) - 1))
         left = MatrixQ(rows, k, tuple(map(tuple, _table(draw, rows, k))))
@@ -117,6 +142,32 @@ def test_rank_and_rref_match_oracle(m):
     assert pivots == want_pivots
     assert reduced == want
     assert all(isinstance(x, Fraction) for x in reduced.entries())
+
+
+def as_matrix_z(m: MatrixQ) -> MatrixZ:
+    """The same matrix as integer rows, each row times the lcm of its denominators."""
+    scales = tuple(lcm(*[x.denominator for x in row]) for row in m.data)
+    return MatrixZ(m.rows, m.cols, tuple(tuple(int(x * s) for x in row)
+                                         for row, s in zip(m.data, scales)), scales)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(oriented())
+def test_rank_on_either_side_matches_oracle_and_the_transpose(m):
+    # rank eliminates the transpose of a tall system, so both orientations
+    # and both matrix types must give the oracle's rank.
+    want = oracle_rank(m)
+    z = as_matrix_z(m)
+    assert z.to_q() == m
+    assert rank(m) == rank(m.transpose()) == want
+    assert rank(z) == rank(as_matrix_z(m.transpose())) == want
+
+
+def test_rank_of_systems_without_rows_or_columns():
+    assert rank(MatrixZ(0, 10 ** 16, (), ())) == 0
+    assert rank(MatrixZ(4, 0, ((),) * 4, (1,) * 4)) == 0
+    assert rank(MatrixQ(0, 10 ** 16, ())) == 0
+    assert rank(MatrixQ(3, 0, ((),) * 3)) == 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

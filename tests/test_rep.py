@@ -20,6 +20,7 @@ from quivrep import (
 )
 from quivrep.errors import ShapeMismatch
 from quivrep.rep import cocycle_ambient_dim
+from util import evaluate_path
 
 
 def a3_bound():
@@ -41,11 +42,18 @@ def test_make_rep_shapes_and_zero_fill():
 
 
 def test_evaluate_path_applies_rightmost_first():
-    q = a3_bound().quiver
+    bq = a3_bound()
+    q = bq.quiver
     m = make_rep(q, {"x1": 1, "x2": 1, "x3": 1},
                  {"alpha": [[2]], "beta": [[3]]})
     p = q.path(["alpha", "beta"])
-    assert m.evaluate_path(p) == MatrixQ.from_rows([[6]])
+    assert evaluate_path(m, p) == MatrixQ.from_rows([[6]])
+    # alpha: 1 x 2 and beta: 2 x 1, so alpha.beta is the 1 x 1 product
+    # alpha @ beta, which vanishes here while beta @ alpha would not.
+    m = make_rep(q, {"x1": 1, "x2": 2, "x3": 1},
+                 {"alpha": [[1, 1]], "beta": [[1], [-1]]})
+    assert evaluate_path(m, p) == MatrixQ.from_rows([[0]])
+    assert m.is_variety_point(bq)
 
 
 def test_variety_point_detection():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,3 +55,13 @@ def test_bench_pairs_runs_one_survey_pair_and_writes_the_comparison(tmp_path):
     assert ops["per_seed"]["7"] == [ops["parent"]["median"], ops["change"]["median"]]
     assert bench["claim"]["metric"] == "ops_per_s"
     assert bench["claim"]["change_wins"] in ("0/1", "1/1")
+    # Both sides are this tree: the same line count and the same modules.
+    modules = sorted(path.name for path in (Path(ROOT) / "src" / "quivrep").glob("*.py"))
+    lines = sum(len((Path(ROOT) / "src" / "quivrep" / name).read_text().splitlines())
+                for name in modules)
+    for side in ("parent", "change"):
+        source = bench["source"][side]
+        assert source["lines"] == lines
+        assert sorted(source["compile_ms"]) == modules
+        assert all(ms > 0 for ms in source["compile_ms"].values())
+        assert source["compile_ms_total"] > 0

@@ -15,12 +15,15 @@ from quivrep import (
     Arrow,
     BoundQuiver,
     DimVector,
+    MatrixQ,
+    Path,
     Quiver,
     Relation,
     Representation,
     make_rep,
     random_matrix,
 )
+from quivrep.errors import QuivrepError
 
 
 def random_acyclic_quiver(rng: Random, max_vertices: int = 5, max_arrows: int = 6) -> Quiver:
@@ -109,3 +112,63 @@ def random_variety_pair(rng: Random, bq: BoundQuiver, max_dim: int = 3):
     u = hitting_set_point(rng, bq, random_dims(rng, bq.quiver, max_dim))
     v = hitting_set_point(rng, bq, random_dims(rng, bq.quiver, max_dim))
     return u, v
+
+
+def with_rational_entries(rep, rng: Random):
+    """The same representation with every nonzero entry scaled by a random
+    non-integer rational.  Zero matrices stay zero, so a hitting-set point
+    stays a variety point."""
+    mats = {}
+    for arrow, mat in zip(rep.quiver.arrows, rep.matrices):
+        mats[arrow.name] = MatrixQ(mat.rows, mat.cols, tuple(
+            tuple(x * Fraction(rng.choice([1, -1, 5]), rng.choice([2, 3, 7])) for x in row)
+            for row in mat.data))
+    return make_rep(rep.quiver, rep.dim, mats)
+
+
+def random_quiver_with_cycles(rng: Random) -> Quiver:
+    """Arrows between any two vertices, loops included, so that relation
+    paths can pass through one arrow more than once."""
+    n = rng.randint(1, 3)
+    vertices = tuple(f"v{i}" for i in range(1, n + 1))
+    arrows = [Arrow(f"a{k + 1}", rng.choice(vertices), rng.choice(vertices))
+              for k in range(rng.randint(1, 4))]
+    return Quiver.build(vertices, arrows)
+
+
+def random_rep(rng: Random, quiver: Quiver):
+    dims = random_dims(rng, quiver, 3)
+    mats = {a.name: random_matrix(dims[a.target], dims[a.source], rng, 2) for a in quiver.arrows}
+    return make_rep(quiver, dims, mats)
+
+
+def with_rational_coefficients(bq, rng: Random):
+    """The same relations with every coefficient times 1/2, -3/7 or 5/3."""
+    factors = (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3))
+    return BoundQuiver.of(bq.quiver, [
+        Relation.of([(coeff * rng.choice(factors), path) for coeff, path in rel.terms])
+        for rel in bq.relations])
+
+
+# -- Fraction evaluation, the oracle of the integer variety check ------------
+#
+# `Representation.is_variety_point` evaluates relations on the integer form.
+# These two functions are the Fraction evaluation it replaced, kept verbatim
+# (as functions of the representation) to check it against.
+
+
+def evaluate_path(m: Representation, path: Path) -> MatrixQ:
+    if path.quiver != m.quiver:
+        raise QuivrepError("path on a different quiver")
+    out = m.matrix(path.arrow_names[0])
+    for name in path.arrow_names[1:]:
+        out = out @ m.matrix(name)
+    return out
+
+
+def evaluate_relation(m: Representation, rel: Relation) -> MatrixQ:
+    acc = None
+    for coeff, path in rel.terms:
+        term = evaluate_path(m, path).scale(coeff)
+        acc = term if acc is None else acc + term
+    return acc
