@@ -32,7 +32,8 @@ from functools import cached_property
 from ._value import Value
 from .errors import (DecompositionMismatch, InequalityViolated, InvalidLabel,
                      QuivrepError, WrongDimension)
-from .linalg import hstack, random_invertible, rank, seeded_rng, vstack
+from .linalg import (hstack, parse_rational, random_invertible, rank, seeded_rng,
+                     vstack)
 from .quiver import (BoundQuiver, DimVector, Quiver, Relation, euler_form,
                      expected_dim, is_triangular, minimal_convex, tits_form)
 from .rep import Representation, conjugate, direct_sum, make_rep, simple_rep
@@ -197,7 +198,7 @@ def _normalize_label(label, arrow_names, side: str):
         if label in arrow_names:
             return label
         try:
-            return Fraction(label)
+            return parse_rational(label)
         except (ValueError, ZeroDivisionError):
             raise InvalidLabel(
                 f"label {label!r} is neither a rational nor an {side} arrow") from None
@@ -211,7 +212,7 @@ def _normalize_label(label, arrow_names, side: str):
 
 class GridRow(Value):
     __slots__ = _fields = ("u", "v", "hom_probe", "z_h1h1", "z_h2h2", "z_cross", "b_cross",
-                           "direct", "linear", "audit_ok", "hom_12", "hom_21")
+                           "direct", "audit_ok", "hom_12", "hom_21")
 
     @property
     def summand_total(self) -> int:
@@ -221,7 +222,6 @@ class GridRow(Value):
         """The row's failed checks in report order, as (message, exceeds_bound) pairs."""
         checks = (
             (self.hom_probe != 1, f"hom(probe, M) = {self.hom_probe}, expected 1", False),
-            (not self.linear, "constrained locus not certified linear", False),
             (not self.audit_ok, "base-change audit failed", False),
             (self.direct != self.summand_total,
              f"direct dim {self.direct} != summand total {self.summand_total}", False),
@@ -390,7 +390,7 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
             row = GridRow(
                 u=str(u), v=str(v), hom_probe=stratum.hom_to_probe,
                 z_h1h1=z_u, z_h2h2=z_v[iv], z_cross=uv.z_dim, b_cross=b_cross,
-                direct=stratum.constrained_dim, linear=stratum.linear,
+                direct=stratum.constrained_dim,
                 audit_ok=_conjugation_audit(fam, m, probe, stratum.hom_to_probe,
                                             seed, iu, iv),
                 hom_12=uv.hom, hom_21=vu.cols - b_cross,

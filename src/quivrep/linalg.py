@@ -43,11 +43,24 @@ from .errors import QuivrepError, ShapeMismatch
 MAX_CELLS = 10**7
 
 
+def parse_rational(text: str) -> Fraction:
+    """An integer, ``p/q`` or decimal string as a Fraction.
+
+    Exponent notation is refused with ValueError before `Fraction` sees
+    it: ``Fraction('1e100000000')`` builds a hundred-million-digit integer.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not read: {text!r}")
+    return Fraction(text)
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

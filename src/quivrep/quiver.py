@@ -39,12 +39,13 @@ class Quiver(Value):
     def build(vertices: Sequence[str], arrows: Sequence) -> "Quiver":
         """Build from vertex names and (name, source, target) triples."""
         verts = tuple(vertices)
-        if len(set(verts)) != len(verts):
+        declared = set(verts)
+        if len(declared) != len(verts):
             raise QuivrepError("duplicate vertex names")
         arrow_objs = []
         for spec in arrows:
             a = spec if isinstance(spec, Arrow) else Arrow(*spec)
-            if a.source not in verts or a.target not in verts:
+            if a.source not in declared or a.target not in declared:
                 raise QuivrepError(f"arrow {a.name}: endpoint not a declared vertex")
             arrow_objs.append(a)
         names = [a.name for a in arrow_objs]

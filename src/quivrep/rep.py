@@ -33,7 +33,7 @@ from operator import mul
 
 from ._value import Value, _set
 from .errors import QuivrepError, ShapeMismatch
-from .linalg import MatrixQ, block_matrix
+from .linalg import MAX_CELLS, MatrixQ, block_matrix
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
 
 
@@ -110,12 +110,19 @@ def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -
     """Convenience builder: dims as mapping/sequence, matrices by arrow name.
 
     Arrows not mentioned in `mats` get zero matrices of the right shape.
+    A representation whose matrices would hold more than MAX_CELLS entries
+    in all is refused before any matrix is built.
     """
     dim = dims if isinstance(dims, DimVector) else DimVector.of(quiver, dims)
     mats = dict(mats or {})
     unknown = [k for k in mats if k not in quiver.arrow_index]
     if unknown:
         raise QuivrepError(f"matrix given for unknown arrow {unknown[0]!r}")
+    sizes = dim.entries
+    entries = sum(sizes[s] * sizes[t] for s, t in quiver.arrow_ends)
+    if entries > MAX_CELLS:
+        raise QuivrepError(f"arrow matrices would hold {entries} entries, "
+                           f"more than the cap of {MAX_CELLS}")
     out = []
     for arrow in quiver.arrows:
         shape = (dim[arrow.target], dim[arrow.source])

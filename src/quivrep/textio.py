@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonComposable, ParseError, QuivrepError
-from .linalg import MatrixQ
+from .linalg import MatrixQ, parse_rational
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
 from .rep import Representation, make_rep
 
@@ -42,7 +42,7 @@ def _content_lines(text: str):
 
 def _fraction(token: str, lineno: int) -> Fraction:
     try:
-        return Fraction(token)
+        return parse_rational(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {token!r}") from None
 

@@ -205,6 +205,53 @@ def test_invariants_refuses_an_oversized_system_with_exit_2(tmp_path):
     assert "more than the cap" in proc.stderr
 
 
+def _cli_child(*argv):
+    """A CLI call in a child process, killed after 30 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "quivrep.cli", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+# Fraction('1e100000000') builds a hundred-million-digit integer.
+@pytest.mark.parametrize("quiver_text, rep_text, argv", [
+    pytest.param(A2_TEXT, "dim v1 1\ndim v2 1\nmat al 1 1 : 1e100000000\n",
+                 ["validate"], id="mat-entry"),
+    pytest.param(A3_TEXT + "rel 1e100000000*x.y\n", None, ["validate"], id="rel-coefficient"),
+    pytest.param(None, None,
+                 ["paper-verify", "--p", "1", "--q", "1", "--r", "1", "--s", "1", "--t", "1",
+                  "--u-scalars", "1e100000000"], id="family-label"),
+])
+def test_exponent_notation_is_refused_at_once_with_exit_2(tmp_path, quiver_text, rep_text,
+                                                          argv):
+    if quiver_text is not None:
+        argv = argv + ["--quiver", write(tmp_path, "q.quiver", quiver_text)]
+    if rep_text is not None:
+        argv = argv + ["--rep", write(tmp_path, "m.rep", rep_text)]
+    proc = _cli_child(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "1e100000000" in proc.stderr
+
+
+def test_validate_refuses_oversized_zero_matrices_with_exit_2(tmp_path):
+    # No mat line: the one arrow would get a 10^5 x 10^5 zero matrix.
+    q = write(tmp_path, "ab.quiver", "vertex a\nvertex b\narrow x a b\n")
+    r = write(tmp_path, "big.rep", "dim a 100000\ndim b 100000\n")
+    proc = _cli_child("validate", "--quiver", q, "--rep", r)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "10000000000 entries, more than the cap of 10000000" in proc.stderr
+
+
+def test_family_on_a_long_arm_returns(tmp_path):
+    # 100,002 vertices: checking each arrow's endpoints against the vertex
+    # tuple made building the quiver quadratic.
+    proc = _cli_child("family", "--p", "100000", "--q", "1", "--r", "1", "--s", "1", "--t", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "vertices=100002 arrows=100004" in proc.stdout
+
+
 def test_a_cli_child_does_not_import_graphlib(tmp_path):
     q = write(tmp_path, "a2.quiver", A2_TEXT)
     r = write(tmp_path, "p.rep", P_TEXT)

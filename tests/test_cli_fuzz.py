@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from quivrep.cli import main
 
-ENTRIES = st.sampled_from(["0", "1", "-1", "2", "1/2"])
-LABELS = st.sampled_from(["0", "1", "2", "-1", "1/2", "1/0", "x", "alpha1", "beta2", "xi1",
-                          "delta1"])
+# "1e100000000" is refused: Fraction would build a hundred-million-digit integer.
+ENTRIES = st.sampled_from(["0", "1", "-1", "2", "1/2", "1e100000000"])
+LABELS = st.sampled_from(["0", "1", "2", "-1", "1/2", "1/0", "1e100000000", "x", "alpha1",
+                          "beta2", "xi1", "delta1"])
 JUNK_LINES = st.sampled_from(["dim v1 x\n", "dim v1 -1\n", "mat zz 1 1 : 1\n",
                               "mat a0 1 1 :\n", "bogus\n"])
 

@@ -201,8 +201,7 @@ def test_verify_family_raises_decomposition_mismatch(monkeypatch):
         calls.append(n)
         if len(calls) > 1:
             return stratum
-        return StratumReport(stratum.hom_to_probe, stratum.constrained_dim - 1,
-                             stratum.linear)
+        return StratumReport(stratum.hom_to_probe, stratum.constrained_dim - 1)
 
     monkeypatch.setattr(quivrep.family, "constrained_cocycles", under_report_first_pair)
     with pytest.raises(DecompositionMismatch) as exc:
@@ -258,3 +257,51 @@ def test_grid_rows_match_basis_formulas(params):
         assert row.b_cross == coboundary_space(h2, h1).dim
         assert row.hom_12 == hom_dim(h1, h2)
         assert row.hom_21 == hom_dim(h2, h1)
+
+
+def _grid_report(params):
+    try:
+        return verify_family(params)
+    except (InequalityViolated, DecompositionMismatch) as exc:
+        return exc.report
+
+
+_MIRROR = {"alpha": "gamma", "gamma": "alpha", "xi": "delta", "delta": "xi"}
+_ROW_INTEGERS = ("hom_probe", "z_h1h1", "z_h2h2", "z_cross", "b_cross", "direct",
+                 "hom_12", "hom_21")
+
+
+def _mirror(label):
+    group = label.rstrip("0123456789")
+    return _MIRROR[group] + label[len(group):]
+
+
+def _is_arm_row(row):
+    return (row.u.rstrip("0123456789") in ("alpha", "gamma")
+            and row.v.rstrip("0123456789") in ("xi", "delta"))
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1, 1), (2, 1, 1, 2, 1), (2, 2, 2, 2, 2)],
+                         ids=str)
+def test_grid_is_symmetric_under_swapping_the_outer_arms(params):
+    # Family(p,q,r,s,t) and Family(r,q,p,t,s) are one bound quiver under
+    # alpha <-> gamma, xi <-> delta: relations 2 and 4 swap, relation 3
+    # changes sign.  Rows labelled by those arms must map onto each other.
+    p, q, r, s, t = params
+    report = _grid_report(FamilyParams(p, q, r, s, t))
+    mirrored = report if (r, q, p, t, s) == params else _grid_report(FamilyParams(r, q, p, t, s))
+    assert mirrored.expected_total == report.expected_total
+    bound = report.expected_total
+    mirror_rows = {(row.u, row.v): row for row in mirrored.rows}
+    arm_rows = [row for row in report.rows if _is_arm_row(row)]
+    assert len(arm_rows) == (p + r) * (s + t)
+    for row in arm_rows:
+        other = mirror_rows[_mirror(row.u), _mirror(row.v)]
+        assert ([getattr(row, name) for name in _ROW_INTEGERS]
+                == [getattr(other, name) for name in _ROW_INTEGERS]), row
+    failing, mirror_failing = ({(row.u, row.v) for row in rep.rows
+                                if _is_arm_row(row) and row.failed_checks(bound)}
+                               for rep in (report, mirrored))
+    assert {(_mirror(u), _mirror(v)) for u, v in failing} == mirror_failing
+    if params == (2, 2, 2, 2, 2):
+        assert failing == {("alpha2", "xi2"), ("gamma2", "delta2")}

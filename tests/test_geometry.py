@@ -12,6 +12,7 @@ from quivrep import (
     bisection_classify,
     classify_dimvector,
     constrained_cocycles,
+    direct_sum,
     direct_sum_stratum_dim,
     ext_stratum_tangent_bound,
     make_rep,
@@ -19,9 +20,11 @@ from quivrep import (
     simple_rep,
 )
 from quivrep.errors import HomNotZero, NotAVarietyPoint
+from quivrep.family import Family, FamilyParams
 from quivrep.homology import cocycle_space, coboundary_space
 
-from util import hitting_set_point, random_bound_quiver, random_dims
+from util import (constrained_cocycles_audited, hitting_set_point, random_bound_quiver,
+                  random_dims)
 
 
 def a2():
@@ -104,18 +107,52 @@ def test_certificate_cocycle_excess_is_ext2():
     assert excess >= 10
 
 
-def test_constrained_cocycles_contains_coboundaries():
+def _random_constrained_cases():
+    """20 seeded (probe, N, bound quiver) triples on small random quivers."""
     rng = Random(31)
-    checked = 0
-    while checked < 20:
+    for _ in range(20):
         bq = random_bound_quiver(rng, max_vertices=4, max_arrows=4)
         n = hitting_set_point(rng, bq, random_dims(rng, bq.quiver, 2))
         probe = simple_rep(bq.quiver, rng.choice(bq.quiver.vertices))
+        yield probe, n, bq
+
+
+def _grid_cases(params, pairs=None):
+    """(probe, M, bound quiver) for the grid pairs of `params` that
+    verify_family measures, or for the given (u, v) label pairs only."""
+    fam = Family(params)
+    bq = fam.bound_quiver
+    if pairs is None:
+        pairs = [(u, v) for u in ["2", "3", "7", *fam.ab_arrow_names]
+                 for v in ["2", "3", "5", *fam.bc_arrow_names]]
+    for u, v in pairs:
+        m = direct_sum(fam.rep_h1(u), fam.rep_h2(v))
+        if m.is_variety_point(bq):
+            yield fam.simple_at_b(), m, bq
+
+
+def test_constrained_cocycles_contains_coboundaries():
+    for probe, n, bq in _random_constrained_cases():
         report = constrained_cocycles(probe, n, bq)
         b = coboundary_space(n, n).dim
         z = cocycle_space(n, n, bq).dim
         assert b <= report.constrained_dim <= z
-        checked += 1
+
+
+def test_constrained_cocycles_matches_the_audited_search():
+    # Without the linearity audit the search must report what the audited
+    # one did, and the audit must pass everywhere: the locus is linear.
+    arm_pairs = [(f"alpha{i}", f"xi{j}") for i in (1, 2) for j in (1, 2)]
+    arm_pairs += [(f"gamma{i}", f"delta{j}") for i in (1, 2) for j in (1, 2)]
+    cases = [*_grid_cases(FamilyParams(1, 1, 1, 1, 1)),
+             *_grid_cases(FamilyParams(2, 2, 2, 2, 2), arm_pairs),
+             *_random_constrained_cases()]
+    assert len(cases) == 30 + 8 + 20
+    for probe, n, bq in cases:
+        h, dim, linear = constrained_cocycles_audited(probe, n, bq)
+        report = constrained_cocycles(probe, n, bq)
+        assert linear
+        assert (report.hom_to_probe, report.constrained_dim) == (h, dim)
 
 
 def test_constrained_cocycles_trivial_probe():
@@ -126,7 +163,6 @@ def test_constrained_cocycles_trivial_probe():
     probe = simple_rep(q, "v2")   # hom(S2, P) = 0
     report = constrained_cocycles(probe, n, bq)
     assert report.hom_to_probe == 0
-    assert report.linear
     # membership needs hom(S2, W) = 0; W always surjects... the middle
     # term of P by P with cocycle z has W_al = [[1, z], [0, 1]], invertible,
     # so hom(S2, W) = 0 for every z: the whole 1-dim Z is constrained.
@@ -165,7 +201,6 @@ def test_bisection_classify_on_a2():
     p = make_rep(q, (1, 1), {"al": [[1]]})
     s1 = simple_rep(q, "v1")
     s2 = simple_rep(q, "v2")
-    from quivrep import direct_sum
     assert bisection_classify(p, make_rep(q, {}), bq) == "Both"
     assert bisection_classify(p, s1, bq) == "Both"     # hom(P,S1)=0, ext1=0
     assert bisection_classify(p, s2, bq) == "InT"      # hom(P,S2)=1, ext1=0

@@ -14,16 +14,22 @@ from random import Random
 from quivrep import (
     Arrow,
     BoundQuiver,
+    CocycleElement,
     DimVector,
     MatrixQ,
     Path,
     Quiver,
     Relation,
     Representation,
+    coboundary_space,
+    cocycle_space,
+    hom_dim,
     make_rep,
+    middle_term,
     random_matrix,
 )
 from quivrep.errors import QuivrepError
+from quivrep.linalg import in_span, independent_subset
 
 
 def random_acyclic_quiver(rng: Random, max_vertices: int = 5, max_arrows: int = 6) -> Quiver:
@@ -172,3 +178,65 @@ def evaluate_relation(m: Representation, rel: Relation) -> MatrixQ:
         term = evaluate_path(m, path).scale(coeff)
         acc = term if acc is None else acc + term
     return acc
+
+
+# -- probe, grow and audit, the oracle of `constrained_cocycles` --------------
+#
+# `geometry.constrained_cocycles` once audited the span it grew: every basis
+# vector and every pairwise sum of two had to be a member again, else it
+# reported the full cocycle dimension with `linear` False.  The locus is a
+# linear subspace, so the audit can only pass.  This is that version, kept
+# verbatim apart from its return value, to check the audit-free one against.
+
+
+def constrained_cocycles_audited(probe: Representation, n: Representation,
+                                 bq: BoundQuiver):
+    """(hom_to_probe, constrained_dim, linear) as the audited search found them."""
+    h = hom_dim(probe, n)
+    z_basis = cocycle_space(n, n, bq)
+    b_basis = coboundary_space(n, n)
+
+    def is_member(z: CocycleElement) -> bool:
+        w = middle_term(z, n, n)
+        return hom_dim(probe, w) == 2 * h
+
+    generators = [z for z in b_basis.elements]
+    for z in z_basis.elements:
+        if is_member(z):
+            generators.append(z)
+
+    def span_rows(gens):
+        return independent_subset([g.flatten() for g in gens])
+
+    rows = span_rows(generators)
+
+    # Grow: a pairwise sum of ambient basis vectors can be a member even
+    # when neither summand is (the locus need not align with the basis).
+    grown = True
+    while grown:
+        grown = False
+        for i, zi in enumerate(z_basis.elements):
+            for zj in z_basis.elements[i + 1:]:
+                candidate = zi + zj
+                flat = candidate.flatten()
+                if not in_span(rows, flat) and is_member(candidate):
+                    generators.append(candidate)
+                    rows = span_rows(generators)
+                    grown = True
+
+    # Audit: the span is certified linear only if all pairwise sums of its
+    # basis are members (each basis vector alone already is, being either a
+    # coboundary, an ambient member, or a sum of members by construction).
+    span_elements = [
+        CocycleElement.from_flat(bq.quiver, n.dim, n.dim, row) for row in rows]
+    linear = all(is_member(z) for z in span_elements)
+    if linear:
+        for i, zi in enumerate(span_elements):
+            for zj in span_elements[i + 1:]:
+                if not is_member(zi + zj):
+                    linear = False
+                    break
+            if not linear:
+                break
+
+    return h, len(rows) if linear else z_basis.dim, linear
