@@ -10,7 +10,10 @@ at a time, once per seed and side.  The parent runs first at the 1st,
 Per metric the output records each side's median and quartiles
 (``statistics.quantiles(values, n=4)``), the change/parent ratio of the
 medians, the pairs the change wins (ties count for neither side), the
-parent's interquartile range and every pair's values; per side it
+parent's interquartile range and every pair's values.  It also judges the
+metric's bound from ``BENCHMARK.json``: ``regression`` is the relative
+change of the medians, signed so that positive means worse, and
+``within_bound`` says whether it is at most the bound.  Per side it
 records the pass counts, op counts and source digests.  Results merge by
 workload into the output file, so one file can hold several invocations.
 The ``source`` section holds, per side, the line count of ``src/quivrep``
@@ -42,8 +45,11 @@ METHOD = ("Each side ran from its own copy of perfbench/, BENCHMARK.json and src
           "runs of each side; quartiles from statistics.quantiles(values, n=4). Times are "
           "the benchmark's host-speed-scaled figures; 'unscaled' holds the raw ones. "
           "change_wins counts pairs where the change is better, ties counting for neither "
-          "side. 'source' holds each side's src/quivrep line count and the median "
-          "in-process compile() time of each module, both sides alternating.")
+          "side. regression = (change - parent) / parent of the medians, negated for "
+          "higher-is-better metrics so that positive means worse; within_bound = "
+          "regression <= the metric's BENCHMARK.json bound. 'source' holds each side's "
+          "src/quivrep line count and the median in-process compile() time of each module, "
+          "both sides alternating.")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
@@ -98,6 +104,12 @@ def wins(parent: list, change: list, better: str) -> int:
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
+def regression(parent: float, change: float, better: str) -> float:
+    """(change - parent) / parent, signed so that positive means worse."""
+    sign = 1 if better == "lower" else -1
+    return round(sign * (change - parent) / parent, 4)
+
+
 def compare(workload: str, seeds: list, runs: dict, spec: dict) -> dict:
     """The end-to-end section of one workload; `runs[side]` lists (record, result)."""
     sides = {}
@@ -120,10 +132,12 @@ def compare(workload: str, seeds: list, runs: dict, spec: dict) -> dict:
         values = {side: [res["metrics"][name]["value"] for _, res in runs[side]]
                   for side in SIDES}
         parent, change = spread(values["parent"]), spread(values["change"])
+        worse = regression(parent["median"], change["median"], m["better"])
         metrics[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": parent, "change": change,
             "change_over_parent": round(change["median"] / parent["median"], 4),
+            "regression": worse, "within_bound": worse <= m["bound"],
             "change_wins": f"{wins(values['parent'], values['change'], m['better'])}"
                            f"/{len(seeds)}",
             "parent_iqr": r(parent["q3"] - parent["q1"]),

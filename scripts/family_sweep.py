@@ -5,8 +5,9 @@ For each tuple (p, q, r, s, t) this prints the canonical form values, the
 dimension budget of the total dimension vector, and the verdict of the
 full grid verification -- including which label pairs (if any) break the
 four-summand decomposition or the dimension bound.  Stdout depends only on
-the tuples and the seed; each tuple's verification wall time goes to
-stderr, one ``<params> <seconds>s`` line per tuple.
+the tuples; ``--seed`` is printed in its header and changes nothing else.
+Each tuple's verification wall time goes to stderr, one
+``<params> <seconds>s`` line per tuple.
 
 Example:
     python3 scripts/family_sweep.py --max-arm 2 --seed 1
@@ -32,10 +33,10 @@ def parse_params(text: str) -> FamilyParams:
     return FamilyParams(*parts)
 
 
-def sweep_one(params: FamilyParams, seed: int) -> dict:
+def sweep_one(params: FamilyParams) -> dict:
     start = time.perf_counter()
     try:
-        report = verify_family(params, seed=seed)
+        report = verify_family(params)
         verdict = "pass"
     except (DecompositionMismatch, InequalityViolated) as exc:
         report = exc.report
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
                         help="explicit tuple; may repeat (overrides --max-arm)")
     parser.add_argument("--max-arm", type=int, default=2,
                         help="sweep all tuples with arms in 1..MAX (default 2)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=1, help="printed; has no effect")
     args = parser.parse_args(argv)
 
     if args.params:
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
           f"{'rows':>4}  verdict")
     n_bad = 0
     for params in grid:
-        row = sweep_one(params, args.seed)
+        row = sweep_one(params)
         verdict = row["verdict"]
         if row["bad_pairs"]:
             verdict += " at " + ", ".join(row["bad_pairs"])

@@ -33,14 +33,16 @@ from .textio import (parse_dimvec, parse_quiver, parse_rep, serialize_quiver,
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise QuivrepError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise QuivrepError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise QuivrepError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -179,7 +181,7 @@ def _cmd_paper_verify(args) -> int:
     from .family import FamilyParams, verify_family
 
     params = FamilyParams(args.p, args.q, args.r, args.s, args.t)
-    kwargs = {"seed": args.seed}
+    kwargs = {}
     if args.u_scalars is not None:
         kwargs["u_scalars"] = _parse_scalars(args.u_scalars)
     if args.v_scalars is not None:
@@ -279,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scalar labels for the a-side reps (default 2,3,7)")
     p.add_argument("--v-scalars", metavar="CSV",
                    help="scalar labels for the c-side reps (default 2,3,5)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the grid makes no random draw")
     p.add_argument("--out", metavar="PATH",
                    help="also write a machine-readable key-value report")
     p.set_defaults(func=_cmd_paper_verify)

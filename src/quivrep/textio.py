@@ -202,10 +202,7 @@ def parse_rep(text: str, quiver: Quiver) -> Representation:
                 f"got {len(entries)}")
         data = tuple(tuple(entries[i * ncols:(i + 1) * ncols]) for i in range(nrows))
         mats[name] = MatrixQ(nrows, ncols, data)
-    try:
-        return make_rep(quiver, dims, mats)
-    except QuivrepError as exc:
-        raise ParseError(0, str(exc)) from None
+    return make_rep(quiver, dims, mats)
 
 
 def serialize_rep(m: Representation) -> str:

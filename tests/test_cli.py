@@ -242,6 +242,22 @@ def test_validate_refuses_oversized_zero_matrices_with_exit_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "10000000000 entries, more than the cap of 10000000" in proc.stderr
+    # The cap is not a syntax error of any line.
+    assert "line 0" not in proc.stderr
+    assert proc.stderr.startswith("error: arrow matrices")
+
+
+@pytest.mark.parametrize("bad", ["quiver", "rep"])
+def test_validate_refuses_a_file_that_is_not_utf8_with_exit_2(tmp_path, bad):
+    q = write(tmp_path, "a2.quiver", A2_TEXT)
+    r = write(tmp_path, "p.rep", P_TEXT)
+    path = q if bad == "quiver" else r
+    Path(path).write_bytes(b"\xff" + Path(path).read_bytes())
+    proc = _cli_child("validate", "--quiver", q, "--rep", r)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: cannot read {path}: not UTF-8 text\n"
 
 
 def test_family_on_a_long_arm_returns(tmp_path):

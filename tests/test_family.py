@@ -24,6 +24,8 @@ from quivrep.errors import (
     WrongDimension,
 )
 
+from util import _conjugation_audit
+
 PARAMS_GRID = [
     FamilyParams(2, 2, 2, 2, 2),
     FamilyParams(1, 1, 1, 1, 1),
@@ -224,7 +226,7 @@ def test_verify_family_deterministic():
 
 
 def test_verify_family_report_does_not_depend_on_the_seed():
-    # The seed picks only the base changes of the membership audit.
+    # The grid makes no random draw: `seed` is accepted and has no effect.
     first, second = (verify_family(FamilyParams(1, 1, 1, 1, 1), seed=s) for s in (0, 5))
     assert first.to_kv() == second.to_kv()
     assert first.to_text() == second.to_text()
@@ -305,3 +307,37 @@ def test_grid_is_symmetric_under_swapping_the_outer_arms(params):
     assert {(_mirror(u), _mirror(v)) for u, v in failing} == mirror_failing
     if params == (2, 2, 2, 2, 2):
         assert failing == {("alpha2", "xi2"), ("gamma2", "delta2")}
+
+
+_AUDIT_SCALARS = (2, 3, 7, -1, F(1, 2))
+
+
+def _audit_pairs(params):
+    """(iu, u, iv, v) over the grid of `params`, the labels -1 and 1/2 included;
+    on (2,2,2,2,2) only the (alpha_i, xi_j) and (gamma_i, delta_j) pairs."""
+    fam = Family(params)
+    u_labels = list(_AUDIT_SCALARS) + list(fam.ab_arrow_names)
+    v_labels = list(_AUDIT_SCALARS) + list(fam.bc_arrow_names)
+    pairs = [(iu, u, iv, v) for iu, u in enumerate(u_labels) for iv, v in enumerate(v_labels)]
+    if params == FamilyParams(2, 2, 2, 2, 2):
+        arms = {("alpha", "xi"), ("gamma", "delta")}
+        pairs = [pair for pair in pairs
+                 if (str(pair[1]).rstrip("0123456789"), str(pair[3]).rstrip("0123456789"))
+                 in arms]
+        assert len(pairs) == 8
+    return pairs
+
+
+@pytest.mark.parametrize("params", [FamilyParams(1, 1, 1, 1, 1), FamilyParams(2, 1, 1, 2, 1),
+                                    FamilyParams(2, 2, 2, 2, 2)], ids=str)
+def test_grid_points_survive_a_seeded_base_change(params):
+    # Membership in the decomposable locus and hom(S_b, M) are invariant
+    # under M -> gMg^-1, which is why the grid no longer audits them.
+    fam = Family(params)
+    probe = fam.simple_at_b()
+    for iu, u, iv, v in _audit_pairs(params):
+        m = direct_sum(fam.rep_h1(u), fam.rep_h2(v))
+        assert fam.decomposable_locus_member(m), (u, v)
+        hom_probe = hom_dim(probe, m)
+        for seed in range(3):
+            assert _conjugation_audit(fam, m, probe, hom_probe, seed, iu, iv), (u, v, seed)

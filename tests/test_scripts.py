@@ -51,6 +51,11 @@ def test_bench_pairs_runs_one_survey_pair_and_writes_the_comparison(tmp_path):
         runs = survey["runs"][side]
         assert runs["all_correct"] and runs["failed"] == 0
         assert runs["passes_per_run"][0] >= 3
+    for name, m in survey["metrics"].items():
+        parent, change = m["parent"]["median"], m["change"]["median"]
+        worse = (change - parent) / parent * (1 if m["better"] == "lower" else -1)
+        assert m["regression"] == round(worse, 4), name
+        assert m["within_bound"] == (m["regression"] <= m["bound"]), name
     ops = survey["metrics"]["ops_per_s"]
     assert ops["per_seed"]["7"] == [ops["parent"]["median"], ops["change"]["median"]]
     assert bench["claim"]["metric"] == "ops_per_s"

@@ -16,6 +16,7 @@ from quivrep import (
     BoundQuiver,
     CocycleElement,
     DimVector,
+    Family,
     MatrixQ,
     Path,
     Quiver,
@@ -23,10 +24,13 @@ from quivrep import (
     Representation,
     coboundary_space,
     cocycle_space,
+    conjugate,
     hom_dim,
     make_rep,
     middle_term,
+    random_invertible,
     random_matrix,
+    seeded_rng,
 )
 from quivrep.errors import QuivrepError
 from quivrep.linalg import in_span, independent_subset
@@ -240,3 +244,21 @@ def constrained_cocycles_audited(probe: Representation, n: Representation,
                 break
 
     return h, len(rows) if linear else z_basis.dim, linear
+
+
+# -- the base-change audit, the oracle of the grid's invariance --------------
+#
+# `family.verify_family` once conjugated each grid point M by a seeded g in
+# GL(d) and re-checked membership in the decomposable locus and hom(S_b, M).
+# Both are invariant under base change, so the audit can only pass.  This is
+# that audit, kept verbatim, for a property test to check the invariance with.
+
+
+def _conjugation_audit(fam: Family, m: Representation, probe: Representation,
+                       hom_probe: int, seed: int, iu: int, iv: int) -> bool:
+    """Base-change invariance: membership and probe hom survive conjugation."""
+    rng = seeded_rng("family-audit", seed, iu, iv)
+    g = {v: random_invertible(m.dim[v], rng, bound=2) for v in m.quiver.vertices}
+    moved = conjugate(m, g)
+    return (fam.decomposable_locus_member(moved)
+            and hom_dim(probe, moved) == hom_probe)
