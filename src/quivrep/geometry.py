@@ -119,9 +119,11 @@ def constrained_cocycles(probe: Representation, n: Representation,
     system of W^Z.  That locus is a linear subspace containing all
     coboundaries (module docstring), so the span of the members found is
     inside it.  The span starts from the coboundaries and the member basis
-    vectors of Z(N, N) and grows by member pairwise sums of basis vectors.
-    Every vector it keeps is a member; that it finds the whole locus stays
-    heuristic until an exact kernel of the linear condition replaces it.
+    vectors of Z(N, N) and grows by member pairwise sums of basis vectors
+    in one sweep: membership of a sum does not depend on the span, which
+    only grows, so a second sweep could add nothing.  The dimension is a
+    lower bound in general, exact on the tested family grids; see
+    ``test_constrained_cocycles_under_reports_off_the_grid``.
     """
     h = hom_dim(probe, n)
     z_basis = cocycle_space(n, n, bq)
@@ -138,16 +140,12 @@ def constrained_cocycles(probe: Representation, n: Representation,
     # Grow: a pairwise sum of ambient basis vectors can be a member even
     # when neither summand is (the locus need not align with the basis).
     # A member outside the span extends the greedy basis by itself.
-    grown = True
-    while grown:
-        grown = False
-        for i, zi in enumerate(z_basis.elements):
-            for zj in z_basis.elements[i + 1:]:
-                candidate = zi + zj
-                flat = candidate.flatten()
-                if not in_span(rows, flat) and is_member(candidate):
-                    rows.append(flat)
-                    grown = True
+    for i, zi in enumerate(z_basis.elements):
+        for zj in z_basis.elements[i + 1:]:
+            candidate = zi + zj
+            flat = candidate.flatten()
+            if not in_span(rows, flat) and is_member(candidate):
+                rows.append(flat)
 
     return StratumReport(hom_to_probe=h, constrained_dim=len(rows))
 

@@ -20,7 +20,9 @@ reduced fraction with positive denominator, so serialising is idempotent
 across a parse round trip.  Matrix entries are row-major rationals; a
 matrix with zero rows or columns has an empty entry list.  Vertices and
 arrows missing from a representation file get dimension zero and zero
-matrices.
+matrices.  The serialisers refuse a name that would not read back: an
+empty one, one holding whitespace or ``#``, and in a relation an arrow
+name holding ``.``.
 """
 
 from __future__ import annotations
@@ -131,15 +133,28 @@ def _parse_relation(quiver: Quiver, lineno: int, tokens) -> Relation:
         raise ParseError(lineno, str(exc)) from None
 
 
+def _token(name: str, what: str) -> str:
+    """`name` if it reads back as one whole token, else QuivrepError."""
+    if not name or "#" in name or any(c.isspace() for c in name):
+        raise QuivrepError(f"cannot write {what} name {name!r}: "
+                           "it is empty or holds whitespace or '#'")
+    return name
+
+
 def serialize_quiver(bq: BoundQuiver) -> str:
     lines = []
     for v in bq.quiver.vertices:
-        lines.append(f"vertex {v}")
+        lines.append(f"vertex {_token(v, 'vertex')}")
     for a in bq.quiver.arrows:
-        lines.append(f"arrow {a.name} {a.source} {a.target}")
+        lines.append(f"arrow {_token(a.name, 'arrow')} {a.source} {a.target}")
     for rel in bq.relations:
         parts = []
         for i, (coeff, path) in enumerate(rel.terms):
+            for name in path.arrow_names:
+                if "." in name:
+                    raise QuivrepError(
+                        f"cannot write relation path through arrow {name!r}: "
+                        "'.' separates the arrows of a path")
             body = f"{abs(coeff)}*" + ".".join(path.arrow_names)
             if i == 0:
                 parts.append(body if coeff > 0 else f"-{body}")
@@ -208,10 +223,10 @@ def parse_rep(text: str, quiver: Quiver) -> Representation:
 def serialize_rep(m: Representation) -> str:
     lines = []
     for v in m.quiver.vertices:
-        lines.append(f"dim {v} {m.dim[v]}")
+        lines.append(f"dim {_token(v, 'vertex')} {m.dim[v]}")
     for arrow, mat in zip(m.quiver.arrows, m.matrices):
         entries = " ".join(str(x) for x in mat.entries())
-        head = f"mat {arrow.name} {mat.rows} {mat.cols} :"
+        head = f"mat {_token(arrow.name, 'arrow')} {mat.rows} {mat.cols} :"
         lines.append(f"{head} {entries}" if entries else head)
     return "\n".join(lines) + "\n"
 

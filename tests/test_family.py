@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -79,6 +82,8 @@ def test_dim_vectors_and_forms_across_params():
 
 
 def test_labelled_reps_are_variety_points():
+    # Direct sums too: relations act blockwise, which is why the grid does
+    # not check its points.
     for params in PARAMS_GRID:
         fam = Family(params)
         bq = fam.bound_quiver
@@ -88,6 +93,10 @@ def test_labelled_reps_are_variety_points():
             assert fam.rep_h1(u).is_variety_point(bq), (params, u)
         for v in labels2:
             assert fam.rep_h2(v).is_variety_point(bq), (params, v)
+        for u in labels1:
+            for v in labels2:
+                m = direct_sum(fam.rep_h1(u), fam.rep_h2(v))
+                assert m.is_variety_point(bq), (params, u, v)
 
 
 def test_label_exclusions():
@@ -120,14 +129,21 @@ def test_h1_entry_placement():
 
 
 def test_simple_at_b_hom_values():
-    fam = Family(FamilyParams(2, 2, 2, 2, 2))
-    s = fam.simple_at_b()
-    for u in (F(2), "alpha1", "alpha2", "beta2", "gamma1"):
-        assert hom_dim(s, fam.rep_h1(u)) == 0
-    for v in (F(3), "xi1", "xi2", "delta1", "delta2"):
-        assert hom_dim(s, fam.rep_h2(v)) == 1
-    m = direct_sum(fam.rep_h1(F(2)), fam.rep_h2(F(3)))
-    assert hom_dim(s, m) == 1
+    # hom(S_b, H' (+) H'') = 0 + 1, hom(H', H'') = 1 and hom(H'', H') = 0 on
+    # every label pair, which is why the grid checks neither hom(S_b, M) nor
+    # its direct-sum stratum dimension against a(d).
+    scalars = (F(2), F(3), F(-1), F(1, 2))
+    for params in PARAMS_GRID:
+        fam = Family(params)
+        s = fam.simple_at_b()
+        reps1 = [fam.rep_h1(u) for u in scalars + fam.ab_arrow_names]
+        reps2 = [fam.rep_h2(v) for v in scalars + fam.bc_arrow_names]
+        assert all(hom_dim(s, h1) == 0 for h1 in reps1), params
+        assert all(hom_dim(s, h2) == 1 for h2 in reps2), params
+        for h1 in reps1:
+            for h2 in reps2:
+                assert hom_dim(s, direct_sum(h1, h2)) == 1, params
+                assert (hom_dim(h1, h2), hom_dim(h2, h1)) == (1, 0), params
 
 
 def test_decomposable_locus_membership():
@@ -189,6 +205,22 @@ def test_verify_family_flags_boundary_pairs():
                    if row.u not in arrows and row.v not in arrows]
     assert len(scalar_rows) == 9
     assert all(row.direct == 10 for row in scalar_rows)
+    assert report.stratum_dim == report.expected_total == 10
+
+
+def test_benchmark_grid_report_matches_its_pins():
+    # The (2,2,2,2,2) report, byte for byte, as pinned for the benchmark.
+    refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json").read_text())
+    pins = refs["grid"]["2,2,2,2,2"]
+    with pytest.raises(InequalityViolated) as exc:
+        verify_family(FamilyParams(2, 2, 2, 2, 2))
+    report = exc.value.report
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    assert digest(report.to_kv()) == pins["kv"] == "0311e1856ec3190f"
+    assert digest(report.to_text()) == pins["text"] == "c0ff400db4d78b6e"
 
 
 def test_verify_family_raises_decomposition_mismatch(monkeypatch):
@@ -259,6 +291,7 @@ def test_grid_rows_match_basis_formulas(params):
         assert row.b_cross == coboundary_space(h2, h1).dim
         assert row.hom_12 == hom_dim(h1, h2)
         assert row.hom_21 == hom_dim(h2, h1)
+    assert report.stratum_dim == report.expected_total
 
 
 def _grid_report(params):

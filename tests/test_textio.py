@@ -4,8 +4,11 @@ from random import Random
 import pytest
 
 from quivrep import (
+    BoundQuiver,
     Family,
     FamilyParams,
+    Quiver,
+    Relation,
     make_rep,
     parse_dimvec,
     parse_quiver,
@@ -13,7 +16,7 @@ from quivrep import (
     serialize_quiver,
     serialize_rep,
 )
-from quivrep.errors import ParseError
+from quivrep.errors import ParseError, QuivrepError
 
 from util import hitting_set_point, random_bound_quiver, random_dims
 
@@ -150,3 +153,41 @@ def test_random_roundtrips():
         assert parse_quiver(serialize_quiver(bq)) == bq
         m = hitting_set_point(rng, bq, random_dims(rng, bq.quiver))
         assert parse_rep(serialize_rep(m), bq.quiver) == m
+
+
+def _chain(vertices, arrows, rel_path=None):
+    """Bound quiver on `vertices` with (name, source, target) `arrows`, and
+    the relation 1*`rel_path` when given."""
+    q = Quiver.build(vertices, arrows)
+    return BoundQuiver.of(q, [Relation.of([(F(1), q.path(rel_path))])] if rel_path else [])
+
+
+@pytest.mark.parametrize("bq, name", [
+    (_chain(("u", "v", "w"), (("x.y", "v", "u"), ("z", "w", "v")), ["x.y", "z"]), "x.y"),
+    (_chain(("a b", "c"), (("f", "c", "a b"),)), "a b"),
+    (_chain(("a#", "c"), (("f", "c", "a#"),)), "a#"),
+    (_chain(("u", "v"), (("", "v", "u"),)), ""),
+], ids=["dot-in-relation", "space", "hash", "empty"])
+def test_serializers_refuse_names_that_do_not_read_back(bq, name):
+    with pytest.raises(QuivrepError) as exc:
+        serialize_quiver(bq)
+    assert repr(name) in str(exc.value)
+    if "." not in name:
+        with pytest.raises(QuivrepError) as exc:
+            serialize_rep(make_rep(bq.quiver, [1] * len(bq.quiver.vertices), {}))
+        assert repr(name) in str(exc.value)
+
+
+def test_names_with_star_slash_and_colon_round_trip():
+    # The coefficient is split off at the first '*', so '*' and '/' inside
+    # a name read back, and so does ':' outside the mat separator position.
+    bq = _chain(("v:1", "v/2", "v*3"), (("a*b", "v/2", "v:1"), ("c/d:", "v*3", "v/2")),
+                ["a*b", "c/d:"])
+    text = serialize_quiver(bq)
+    assert "rel 1*a*b.c/d:" in text
+    again = parse_quiver(text)
+    assert again == bq and serialize_quiver(again) == text
+    m = make_rep(bq.quiver, (1, 2, 1), {"a*b": [[1, F(1, 2)]], "c/d:": [[0], [3]]})
+    rep_text = serialize_rep(m)
+    assert parse_rep(rep_text, bq.quiver) == m
+    assert serialize_rep(parse_rep(rep_text, bq.quiver)) == rep_text

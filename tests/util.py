@@ -25,6 +25,7 @@ from quivrep import (
     coboundary_space,
     cocycle_space,
     conjugate,
+    hom_basis,
     hom_dim,
     make_rep,
     middle_term,
@@ -33,7 +34,8 @@ from quivrep import (
     seeded_rng,
 )
 from quivrep.errors import QuivrepError
-from quivrep.linalg import in_span, independent_subset
+from quivrep.homology import cocycle_system, intertwiner_matrix
+from quivrep.linalg import in_span, independent_subset, kernel_basis, rank
 
 
 def random_acyclic_quiver(rng: Random, max_vertices: int = 5, max_arrows: int = 6) -> Quiver:
@@ -244,6 +246,42 @@ def constrained_cocycles_audited(probe: Representation, n: Representation,
                 break
 
     return h, len(rows) if linear else z_basis.dim, linear
+
+
+# -- the exact kernel, the reference for `constrained_cocycles` --------------
+#
+# The constrained locus is {Z in Z(N, N) : Z.f in B(probe, N) for every f of
+# a Hom(probe, N) basis}, with (Z.f)_a = Z_a f_source(a).  Z.f lies in the
+# image B of the (probe, N) intertwiner system exactly when every l of that
+# system's left kernel kills it, so the locus is the kernel of the (N, N)
+# cocycle system stacked with the rows Z |-> l . vec(Z.f).
+
+
+def exact_constrained_dim(probe: Representation, n: Representation, bq: BoundQuiver) -> int:
+    """Dimension of the constrained locus, from one exact kernel."""
+    cocycles = cocycle_system(n, n, bq)
+    left_kernel = kernel_basis(intertwiner_matrix(probe, n).transpose())
+    # Offsets of Z_a (n_t x n_s) among the unknowns, and of (Z.f)_a
+    # (n_t x probe_s) among the intertwiner rows, both row-major.
+    z_at, zf_at = [], []
+    z_pos = zf_pos = 0
+    for a in bq.quiver.arrows:
+        z_at.append(z_pos)
+        zf_at.append(zf_pos)
+        z_pos += n.dim[a.target] * n.dim[a.source]
+        zf_pos += n.dim[a.target] * probe.dim[a.source]
+    rows = list(cocycles.data)
+    for f in hom_basis(probe, n).elements:
+        for ell in left_kernel:
+            row = [Fraction(0)] * cocycles.cols
+            for a, z0, zf0 in zip(bq.quiver.arrows, z_at, zf_at):
+                f_s, w, pw = f[a.source], n.dim[a.source], probe.dim[a.source]
+                for i in range(n.dim[a.target]):
+                    for k in range(w):
+                        row[z0 + i * w + k] = sum(ell[zf0 + i * pw + j] * f_s[k, j]
+                                                  for j in range(pw))
+            rows.append(tuple(row))
+    return cocycles.cols - rank(MatrixQ(len(rows), cocycles.cols, tuple(rows)))
 
 
 # -- the base-change audit, the oracle of the grid's invariance --------------
