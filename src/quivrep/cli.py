@@ -187,17 +187,15 @@ def _cmd_paper_verify(args) -> int:
     if args.v_scalars is not None:
         kwargs["v_scalars"] = _parse_scalars(args.v_scalars)
     try:
-        report = verify_family(params, **kwargs)
+        report, error = verify_family(params, **kwargs), None
     except (DecompositionMismatch, InequalityViolated) as exc:
-        if exc.report is not None:
-            sys.stdout.write(exc.report.to_text())
-            if args.out:
-                _write(args.out, exc.report.to_kv())
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        report, error = exc.report, exc
     sys.stdout.write(report.to_text())
     if args.out:
         _write(args.out, report.to_kv())
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -36,7 +36,7 @@ from .linalg import hstack, parse_rational, rank, vstack
 from .quiver import (BoundQuiver, DimVector, Quiver, Relation, euler_form,
                      expected_dim, is_triangular, minimal_convex, tits_form)
 from .rep import Representation, direct_sum, make_rep, simple_rep
-from .homology import cocycle_rows, ext_report, intertwiner_rows
+from .homology import ext_report
 from .geometry import constrained_cocycles, direct_sum_stratum_dim
 
 
@@ -340,11 +340,13 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
     """Run the full grid verification; raises on any failed check.
 
     Labels on the grid: the given scalars plus every arm arrow on each
-    side.  Per pair the constrained cocycle space of
-    ``M = rep_h1(u) (+) rep_h2(v)`` relative to the simple at b is
+    side; one label twice on a side (equal rationals, or an arm arrow among
+    the scalars) raises InvalidLabel.  Per pair the constrained cocycle
+    space of ``M = rep_h1(u) (+) rep_h2(v)`` relative to the simple at b is
     computed directly and checked twice: against the four-summand total
     ``Z(h1,h1) + Z(h2,h2) + Z(h1-rep, h2-rep) + B(h2-rep, h1-rep)``, and
     against the naive bound ``expected_dim(total)``, which must dominate.
+    Every Hom, Z and B number of a row comes from :func:`ext_report`.
     Nothing else can fail on labels that rep_h1/rep_h2 accept.  M satisfies
     the relations: relation 1 balances on H', each path of relations 2-4
     meets a vertex where H' (or H'') is zero, and relations act blockwise.
@@ -362,6 +364,10 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
                 for x in u_scalars] + list(fam.ab_arrow_names)
     v_labels = [_normalize_label(x, fam.bc_arrow_names, "c-side arm")
                 for x in v_scalars] + list(fam.bc_arrow_names)
+    for axis, labels in (("u", u_labels), ("v", v_labels)):
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise InvalidLabel(f"{axis} label {label} appears twice on the grid")
     bound = expected_dim(fam.total_dim, bq)
     rows = []
     failures = []
@@ -370,22 +376,20 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
     reps_v, z_v = {}, {}
     for u in u_labels:
         rep_u = fam.rep_h1(u)
-        z_u = _nullity(cocycle_rows(rep_u, rep_u, bq))
+        z_u = ext_report(rep_u, rep_u, bq).z_dim
         for iv, v in enumerate(v_labels):
             if iv not in reps_v:  # each label's rep and own Z, built once
                 reps_v[iv] = fam.rep_h2(v)
-                z_v[iv] = _nullity(cocycle_rows(reps_v[iv], reps_v[iv], bq))
+                z_v[iv] = ext_report(reps_v[iv], reps_v[iv], bq).z_dim
             rep_v = reps_v[iv]
             pair = f"(u={u}, v={v})"
             stratum = constrained_cocycles(probe, direct_sum(rep_u, rep_v), bq)
             uv = ext_report(rep_u, rep_v, bq)
-            vu = intertwiner_rows(rep_v, rep_u)  # kernel Hom(H'', H'), image B(H'', H')
-            b_cross = rank(vu)
+            vu = ext_report(rep_v, rep_u, bq)
             row = GridRow(
                 u=str(u), v=str(v), hom_probe=stratum.hom_to_probe,
-                z_h1h1=z_u, z_h2h2=z_v[iv], z_cross=uv.z_dim, b_cross=b_cross,
-                direct=stratum.constrained_dim,
-                hom_12=uv.hom, hom_21=vu.cols - b_cross,
+                z_h1h1=z_u, z_h2h2=z_v[iv], z_cross=uv.z_dim, b_cross=vu.b_dim,
+                direct=stratum.constrained_dim, hom_12=uv.hom, hom_21=vu.hom,
             )
             rows.append(row)
             for message, exceeds_bound in row.failed_checks(bound):
@@ -417,8 +421,3 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
         raise DecompositionMismatch(
             f"decomposition failed at {', '.join(decomposition_bad)}", report)
     return report
-
-
-def _nullity(system) -> int:
-    """Dimension of the kernel of a linear system: cols - rank."""
-    return system.cols - rank(system)

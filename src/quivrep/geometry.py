@@ -26,10 +26,11 @@ naive dimension count of the variety:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from ._value import Value
 from .errors import HomNotZero, NotAVarietyPoint
-from .linalg import in_span, independent_subset
+from .linalg import in_span
 from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular
 from .rep import CocycleElement, Representation, middle_term
 from .homology import cocycle_space, coboundary_space, ext_report, hom_dim
@@ -118,34 +119,34 @@ def constrained_cocycles(probe: Representation, n: Representation,
     the condition picks out the minimal-rank locus of the intertwiner
     system of W^Z.  That locus is a linear subspace containing all
     coboundaries (module docstring), so the span of the members found is
-    inside it.  The span starts from the coboundaries and the member basis
-    vectors of Z(N, N) and grows by member pairwise sums of basis vectors
-    in one sweep: membership of a sum does not depend on the span, which
-    only grows, so a second sweep could add nothing.  The dimension is a
-    lower bound in general, exact on the tested family grids; see
+    inside it.  The span starts from the coboundaries, which are
+    independent (an rref image basis); then, in one sweep, each basis
+    vector of Z(N, N) and each pairwise sum joins it when outside the span
+    and a member.  A greedy independent subset of the coboundaries and the
+    member basis vectors keeps the same rows in the same order: every
+    coboundary, then a member exactly when it is outside the span kept so
+    far.  Membership does not depend on the span, so testing the span first
+    only skips probes, and as the span only grows a second sweep could add
+    nothing.  The dimension is a lower bound in general, exact on the
+    tested family grids; see
     ``test_constrained_cocycles_under_reports_off_the_grid``.
     """
     h = hom_dim(probe, n)
-    z_basis = cocycle_space(n, n, bq)
+    z_basis = cocycle_space(n, n, bq).elements
     b_basis = coboundary_space(n, n)
 
     def is_member(z: CocycleElement) -> bool:
         w = middle_term(z, n, n)
         return hom_dim(probe, w) == 2 * h
 
-    generators = list(b_basis.elements)
-    generators += [z for z in z_basis.elements if is_member(z)]
-    rows = independent_subset([g.flatten() for g in generators])
-
-    # Grow: a pairwise sum of ambient basis vectors can be a member even
-    # when neither summand is (the locus need not align with the basis).
-    # A member outside the span extends the greedy basis by itself.
-    for i, zi in enumerate(z_basis.elements):
-        for zj in z_basis.elements[i + 1:]:
-            candidate = zi + zj
-            flat = candidate.flatten()
-            if not in_span(rows, flat) and is_member(candidate):
-                rows.append(flat)
+    # A pairwise sum of basis vectors can be a member even when neither
+    # summand is (the locus need not align with the basis).
+    sums = (zi + zj for i, zi in enumerate(z_basis) for zj in z_basis[i + 1:])
+    rows = [b.flatten() for b in b_basis.elements]
+    for candidate in chain(z_basis, sums):
+        flat = candidate.flatten()
+        if not in_span(rows, flat) and is_member(candidate):
+            rows.append(flat)
 
     return StratumReport(hom_to_probe=h, constrained_dim=len(rows))
 

@@ -69,7 +69,7 @@ class MatrixQ(Value):
 
     __slots__ = _fields = ("rows", "cols", "data")
 
-    # Written out, not inherited: a grid pass builds ~272,000 matrices.
+    # Written out, not inherited: one (2,2,2,2,2) grid pass builds 60,591 matrices.
     def __init__(self, rows: int, cols: int, data: tuple):
         # data: tuple of row tuples, each entry a Fraction
         _set(self, "rows", rows)

@@ -399,6 +399,8 @@ def test_paper_verify_boundary_failure(tmp_path, capsys):
     pytest.param("2", "3", 0, id="valid"),
     pytest.param("1/0", "3", 2, id="u-zero-denominator"),
     pytest.param("2", "2,x", 2, id="v-not-rational"),
+    pytest.param("alpha1", "2", 2, id="u-arm-arrow-among-scalars"),
+    pytest.param("2,4/2", "3", 2, id="u-equal-rationals"),
 ])
 def test_paper_verify_custom_scalars(capsys, u_scalars, v_scalars, want):
     code = main(["paper-verify", "--p", "1", "--q", "1", "--r", "1",
@@ -480,11 +482,13 @@ def test_family_unwritable_emit_path_exits_2(tmp_path, capsys):
     assert f"error: cannot write {target}" in captured.err
 
 
-def test_paper_verify_unwritable_out_path_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("params", [("1", "1", "1", "1", "1"), ("2", "2", "2", "2", "2")],
+                         ids=["passing-grid", "failing-grid"])
+def test_paper_verify_unwritable_out_path_exits_2(tmp_path, capsys, params):
     target = tmp_path / "missing" / "report.kv"
-    code = main(["paper-verify", "--p", "1", "--q", "1", "--r", "1", "--s", "1", "--t", "1",
-                 "--out", str(target)])
+    flags = [x for name, value in zip("pqrst", params) for x in (f"--{name}", value)]
+    code = main(["paper-verify", *flags, "--out", str(target)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: cannot write {target}" in captured.err
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"

@@ -112,6 +112,11 @@ def test_label_exclusions():
         fam.rep_h1("xi1")  # wrong side
     with pytest.raises(InvalidLabel):
         fam.rep_h2("alpha1")
+    # A grid side may not list one label twice: equal rationals, or an arm arrow.
+    with pytest.raises(InvalidLabel, match="^u label 2 appears twice on the grid$"):
+        verify_family(fam.params, u_scalars=(2, "4/2"))
+    with pytest.raises(InvalidLabel, match="^v label xi1 appears twice on the grid$"):
+        verify_family(fam.params, v_scalars=("xi1",))
 
 
 def test_h1_entry_placement():
@@ -208,19 +213,25 @@ def test_verify_family_flags_boundary_pairs():
     assert report.stratum_dim == report.expected_total == 10
 
 
-def test_benchmark_grid_report_matches_its_pins():
-    # The (2,2,2,2,2) report, byte for byte, as pinned for the benchmark.
-    refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json").read_text())
-    pins = refs["grid"]["2,2,2,2,2"]
+@pytest.mark.parametrize("params, kv, text", [
+    ((2, 2, 2, 2, 2), "0311e1856ec3190f", "c0ff400db4d78b6e"),
+    ((3, 2, 2, 3, 2), "457464938bb5490a", "76f48b2e29a5ad46"),
+], ids=str)
+def test_benchmark_grid_report_matches_its_pins(params, kv, text):
+    # The reference grids' reports, byte for byte; the benchmark pins the
+    # (2,2,2,2,2) one, so its digests must also match perfbench/refs.json.
     with pytest.raises(InequalityViolated) as exc:
-        verify_family(FamilyParams(2, 2, 2, 2, 2))
+        verify_family(FamilyParams(*params))
     report = exc.value.report
 
-    def digest(text):
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+    def digest(body):
+        return hashlib.sha256(body.encode()).hexdigest()[:16]
 
-    assert digest(report.to_kv()) == pins["kv"] == "0311e1856ec3190f"
-    assert digest(report.to_text()) == pins["text"] == "c0ff400db4d78b6e"
+    assert (digest(report.to_kv()), digest(report.to_text())) == (kv, text)
+    if params == (2, 2, 2, 2, 2):
+        refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json").read_text())
+        pins = refs["grid"]["2,2,2,2,2"]
+        assert (pins["kv"], pins["text"]) == (kv, text)
 
 
 def test_verify_family_raises_decomposition_mismatch(monkeypatch):
