@@ -22,7 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from quivrep import (  # noqa: E402
     BoundQuiver,
-    expected_dim,
     make_rep,
     random_matrix,
     regularity_certificate,
@@ -65,13 +64,13 @@ def main(argv=None) -> int:
         bq, m = draw_point(rng, args.hereditary)
         cert = regularity_certificate(m, bq, assert_gldim2=True)
         verdicts[cert.verdict] += 1
-        gap = cert.z_self_dim - expected_dim(m.dim, bq)
+        gap = cert.z_self_dim - cert.expected
         gap_hist[gap] += 1
         if cert.verdict != "CertifiedRegular" and shown < args.show_gaps:
             shown += 1
             print(f"non-regular point #{shown}: dim {m.dim} "
                   f"tangent {cert.z_self_dim} expected "
-                  f"{expected_dim(m.dim, bq)} ext2 {cert.ext2_self} "
+                  f"{cert.expected} ext2 {cert.ext2_self} "
                   f"({len(bq.relations)} relations)")
 
     print(f"\nsurveyed {args.count} points (seed {args.seed}, "

@@ -20,7 +20,8 @@ naive dimension count of the variety:
   basis.  That condition is linear in Z for any N and probe (Hom reads
   only arrows, so W need not satisfy the relations), and a coboundary
   Z = D_N(h) meets it with Z.f = D(h.f).  So the span of any members is
-  inside the locus; the search that finds members is still probe-and-grow.
+  inside the locus; the search that finds members is still probe-and-grow,
+  and it keeps that span as a :class:`~quivrep.linalg.EchelonBasis`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import chain
 
 from ._value import Value
 from .errors import HomNotZero, NotAVarietyPoint
-from .linalg import in_span
+from .linalg import EchelonBasis
 from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular
 from .rep import CocycleElement, Representation, middle_term
 from .homology import cocycle_space, coboundary_space, ext_report, hom_dim
@@ -119,16 +120,18 @@ def constrained_cocycles(probe: Representation, n: Representation,
     the condition picks out the minimal-rank locus of the intertwiner
     system of W^Z.  That locus is a linear subspace containing all
     coboundaries (module docstring), so the span of the members found is
-    inside it.  The span starts from the coboundaries, which are
-    independent (an rref image basis); then, in one sweep, each basis
-    vector of Z(N, N) and each pairwise sum joins it when outside the span
-    and a member.  A greedy independent subset of the coboundaries and the
-    member basis vectors keeps the same rows in the same order: every
-    coboundary, then a member exactly when it is outside the span kept so
-    far.  Membership does not depend on the span, so testing the span first
-    only skips probes, and as the span only grows a second sweep could add
-    nothing.  The dimension is a lower bound in general, exact on the
-    tested family grids; see
+    inside it.  The span is an integer echelon basis seeded with the
+    coboundaries, which are independent (an rref image basis); then, in
+    one sweep, each basis vector of Z(N, N) and each pairwise sum joins it
+    when its reduced row is nonzero, that is when it lies outside the span,
+    and it is a member.  The dimension is the size of the basis.  A greedy
+    independent subset of the coboundaries and the member basis vectors
+    keeps the same rows in the same order: every coboundary, then a member
+    exactly when it is outside the span kept so far.  Membership does not
+    depend on the span, so testing the span first only skips probes, and
+    as the span only grows a second sweep could add nothing.  The
+    dimension is a lower bound in general, exact on the tested family
+    grids; see
     ``test_constrained_cocycles_under_reports_off_the_grid``.
     """
     h = hom_dim(probe, n)
@@ -142,13 +145,15 @@ def constrained_cocycles(probe: Representation, n: Representation,
     # A pairwise sum of basis vectors can be a member even when neither
     # summand is (the locus need not align with the basis).
     sums = (zi + zj for i, zi in enumerate(z_basis) for zj in z_basis[i + 1:])
-    rows = [b.flatten() for b in b_basis.elements]
+    span = EchelonBasis()
+    for b in b_basis.elements:
+        span.add(span.reduce(b.flatten()))
     for candidate in chain(z_basis, sums):
-        flat = candidate.flatten()
-        if not in_span(rows, flat) and is_member(candidate):
-            rows.append(flat)
+        row = span.reduce(candidate.flatten())
+        if row is not None and is_member(candidate):
+            span.add(row)
 
-    return StratumReport(hom_to_probe=h, constrained_dim=len(rows))
+    return StratumReport(hom_to_probe=h, constrained_dim=len(span))
 
 
 def ext_stratum_tangent_bound(u: Representation, v: Representation,

@@ -16,10 +16,12 @@ final pivot rows back into Fractions.  The reduced row echelon form is
 unique, so this gives exactly the values of a Fraction Gauss-Jordan
 elimination, without its per-entry gcds.  `rank` takes the short side:
 a system with more nonzero rows than columns is eliminated as its
-transpose (rank A = rank A^T).  :func:`kernel_basis` refuses a basis of
-more than :data:`MAX_CELLS` entries.  Matrices are immutable; zero-by-n
-and n-by-zero shapes are first-class citizens because representations
-routinely carry them at unsupported vertices.
+transpose (rank A = rank A^T).  `EchelonBasis` keeps a span that grows
+one vector at a time as integer rows, and tests a vector for membership
+by reducing it with `_echelon`'s row step.  :func:`kernel_basis` refuses
+a basis of more than :data:`MAX_CELLS` entries.  Matrices are immutable;
+zero-by-n and n-by-zero shapes are first-class citizens because
+representations routinely carry them at unsupported vertices.
 
 Randomness: every random draw goes through :func:`seeded_rng`, which seeds
 the standard Mersenne Twister (`random.Random`) with the SHA-512 digest of
@@ -69,7 +71,7 @@ class MatrixQ(Value):
 
     __slots__ = _fields = ("rows", "cols", "data")
 
-    # Written out, not inherited: one (2,2,2,2,2) grid pass builds 60,591 matrices.
+    # Written out, not inherited: one (2,2,2,2,2) grid pass builds 53,485 matrices.
     def __init__(self, rows: int, cols: int, data: tuple):
         # data: tuple of row tuples, each entry a Fraction
         _set(self, "rows", rows)
@@ -292,6 +294,58 @@ def _echelon(rows: list, ncols: int, reduce: bool) -> list:
         pivots.append(c)
         r += 1
     return pivots
+
+
+class EchelonBasis:
+    """A growing span, kept as independent integer rows with one pivot each.
+
+    Row k is nonzero at column pivots[k] and zero at the pivot columns of
+    the rows kept before it.  :meth:`reduce` clears the pivot columns of a
+    vector in the order the rows were kept, with `_echelon`'s row step;
+    clearing column pivots[k] leaves the earlier pivot columns clear,
+    since row k is zero there.  A nonzero combination of the rows is
+    nonzero at the pivot of its first row with a nonzero coefficient, as
+    the later rows vanish there, so the reduced row is zero exactly when
+    the vector lies in the span.  The number of rows is the dimension.
+    """
+
+    __slots__ = ("pivots", "rows")
+
+    def __init__(self):
+        self.pivots = []
+        self.rows = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Sequence[Fraction]) -> list | None:
+        """v reduced against the basis as an integer row; None when v is in the span."""
+        scaled = _integer_rows((v,))
+        if not scaled:
+            return None
+        row = scaled[0]
+        for c, pivot_row in zip(self.pivots, self.rows):
+            a = row[c]
+            if not a:
+                continue
+            p = pivot_row[c]
+            if a % p == 0:
+                f = a // p
+                row = [x - f * y for x, y in zip(row, pivot_row)]
+                continue
+            g = gcd(a, p)
+            s, f = p // g, a // g
+            row = [s * x - f * y for x, y in zip(row, pivot_row)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+        return row if any(row) else None
+
+    def add(self, row: list) -> None:
+        """Keep a row that :meth:`reduce` returned, divided by the gcd of its entries."""
+        g = gcd(*row)
+        self.pivots.append(next(c for c, x in enumerate(row) if x))
+        self.rows.append([x // g for x in row] if g > 1 else row)
 
 
 def rref(m: MatrixQ):

@@ -9,7 +9,8 @@ values under both cores.  The derived functions are run
 once as they are and once with `linalg.rref` swapped for the oracle's.
 `rank` eliminates a tall system as its transpose, so it is also checked on
 tall, wide and row-less matrices, as `MatrixQ` and as `MatrixZ`, against
-the oracle and against the rank of the transpose.
+the oracle and against the rank of the transpose.  `EchelonBasis` is
+checked against the rank-based `in_span` on streams of vectors.
 """
 
 from fractions import Fraction
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 
 from quivrep import linalg
 from quivrep.errors import ShapeMismatch
-from quivrep.linalg import MatrixQ, MatrixZ, image_basis, inverse, kernel_basis, rank, rref
+from quivrep.linalg import (EchelonBasis, MatrixQ, MatrixZ, image_basis, in_span, inverse,
+                            kernel_basis, rank, rref)
 
 
 def _oracle_echelon(table):
@@ -197,3 +199,41 @@ def test_edge_shapes_match_oracle():
         for fn in (kernel_basis, image_basis, inverse):
             new, old = both(fn, m)
             assert new == old
+
+
+@st.composite
+def vector_streams(draw):
+    """Vectors of one length: fresh ones, zero vectors, repeats and
+    rational combinations of vectors drawn earlier in the stream."""
+    n = draw(st.integers(1, 7))
+    stream = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combination")))
+        if kind == "zero":
+            v = [Fraction(0)] * n
+        elif kind == "fresh" or not stream:
+            v = draw(st.lists(entries, min_size=n, max_size=n))
+        elif kind == "repeat":
+            v = list(draw(st.sampled_from(stream)))
+        else:
+            parts = draw(st.lists(st.sampled_from(stream), min_size=1, max_size=3))
+            v = [Fraction(0)] * n
+            for part in parts:
+                c = draw(entries)
+                v = [x + c * y for x, y in zip(v, part)]
+        stream.append(tuple(v))
+    return stream
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(vector_streams())
+def test_echelon_basis_membership_matches_in_span(stream):
+    # Keep each vector outside the span, as constrained_cocycles does.
+    basis, kept = EchelonBasis(), []
+    for v in stream:
+        row = basis.reduce(v)
+        assert (row is None) == in_span(kept, v)
+        if row is not None:
+            basis.add(row)
+            kept.append(v)
+        assert len(basis) == rank(MatrixQ.from_rows(kept))

@@ -1,5 +1,6 @@
 """The runnable scripts under ``scripts/``, run as subprocesses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -32,6 +33,18 @@ def test_regularity_survey_stdout_is_deterministic():
     assert runs[0].stdout == runs[1].stdout
     assert "surveyed 20 points" in runs[0].stdout
     assert "CertifiedRegular      20  (100.0%)" in runs[0].stdout
+
+
+def test_regularity_survey_with_relations_prints_its_pinned_report():
+    # The docstring example, non-regular points and histogram included,
+    # pinned by digest: a change to a certificate number changes the bytes.
+    argv = [sys.executable, os.path.join(ROOT, "scripts", "regularity_survey.py"),
+            "--count", "300", "--seed", "7"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "surveyed 300 points (seed 7, with relations)" in proc.stdout
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest[:16] == "487496332624afc1"
 
 
 def test_bench_pairs_runs_one_survey_pair_and_writes_the_comparison(tmp_path):
