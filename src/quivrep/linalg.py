@@ -71,7 +71,7 @@ class MatrixQ(Value):
 
     __slots__ = _fields = ("rows", "cols", "data")
 
-    # Written out, not inherited: one (2,2,2,2,2) grid pass builds 53,485 matrices.
+    # Written out, not inherited: one (2,2,2,2,2) grid pass builds 44,635 matrices.
     def __init__(self, rows: int, cols: int, data: tuple):
         # data: tuple of row tuples, each entry a Fraction
         _set(self, "rows", rows)
@@ -121,7 +121,8 @@ class MatrixQ(Value):
         if self.shape != other.shape:
             raise ShapeMismatch(f"add: {self.shape} vs {other.shape}")
         return MatrixQ(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)))
+            tuple(a + b if a and b else a or b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.data, other.data)))
 
     def __sub__(self, other: "MatrixQ") -> "MatrixQ":
         if self.shape != other.shape:
@@ -204,10 +205,6 @@ def vstack(blocks: Sequence[MatrixQ]) -> MatrixQ:
         raise ShapeMismatch("vstack: column counts differ")
     data = tuple(row for b in blocks for row in b.data)
     return MatrixQ(sum(b.rows for b in blocks), cols, data)
-
-
-def block_matrix(grid: Sequence[Sequence[MatrixQ]]) -> MatrixQ:
-    return vstack([hstack(row) for row in grid])
 
 
 def kron(a: MatrixQ, b: MatrixQ) -> MatrixQ:

@@ -33,7 +33,7 @@ from operator import mul
 
 from ._value import Value, _set
 from .errors import QuivrepError, ShapeMismatch
-from .linalg import MAX_CELLS, MatrixQ, block_matrix
+from .linalg import MAX_CELLS, MatrixQ
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
 
 
@@ -242,8 +242,13 @@ def middle_term(z: CocycleElement, u: Representation, v: Representation) -> Repr
         raise QuivrepError("middle term inputs on different quivers")
     if u.dim != z.sub_dim or v.dim != z.quot_dim or len(z.matrices) != len(u.matrices):
         raise ShapeMismatch("cocycle dimensions do not match u, v")
+    zero = Fraction(0)
     mats = []
     for ua, va, za in zip(u.matrices, v.matrices, z.matrices):
-        lower_zero = MatrixQ.zeros(va.rows, ua.cols)
-        mats.append(block_matrix([[ua, za], [lower_zero, va]]))
+        if za.shape != (ua.rows, va.cols):
+            raise ShapeMismatch(f"cocycle block {za.shape} does not fit {ua.shape} and {va.shape}")
+        pad = (zero,) * ua.cols
+        mats.append(MatrixQ(ua.rows + va.rows, ua.cols + va.cols,
+                            tuple(ra + rz for ra, rz in zip(ua.data, za.data))
+                            + tuple(pad + rv for rv in va.data)))
     return Representation(u.quiver, u.dim + v.dim, tuple(mats))

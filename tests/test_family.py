@@ -27,7 +27,7 @@ from quivrep.errors import (
     WrongDimension,
 )
 
-from util import _conjugation_audit
+from util import _conjugation_audit, predicted_row
 
 PARAMS_GRID = [
     FamilyParams(2, 2, 2, 2, 2),
@@ -351,6 +351,21 @@ def test_grid_is_symmetric_under_swapping_the_outer_arms(params):
     assert {(_mirror(u), _mirror(v)) for u, v in failing} == mirror_failing
     if params == (2, 2, 2, 2, 2):
         assert failing == {("alpha2", "xi2"), ("gamma2", "delta2")}
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (1, 2, 1, 2, 1),
+                                    (1, 1, 2, 1, 2), (2, 2, 2, 2, 2)], ids=str)
+def test_grid_matches_its_closed_form(params):
+    # predicted_row reads only the arm lengths and the labels, so every
+    # computed integer of the grid is checked against an independent value.
+    report = _grid_report(FamilyParams(*params))
+    assert report.expected_total == report.stratum_dim == sum(params)
+    for row in report.rows:
+        assert {name: getattr(row, name) for name in _ROW_INTEGERS} == predicted_row(
+            report.params, row.u, row.v), row
+    failing = sorted({f.split(":")[0] for f in report.failures})
+    assert failing == sorted(f"(u={row.u}, v={row.v})" for row in report.rows
+                             if row.direct > sum(params))
 
 
 _AUDIT_SCALARS = (2, 3, 7, -1, F(1, 2))

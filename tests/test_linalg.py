@@ -7,7 +7,6 @@ from quivrep import linalg
 from quivrep.errors import QuivrepError, ShapeMismatch
 from quivrep.linalg import (
     MatrixQ,
-    block_matrix,
     hstack,
     image_basis,
     in_span,
@@ -64,8 +63,6 @@ def test_stacking():
     b = M([[3, 4]])
     assert vstack([a, b]) == M([[1, 2], [3, 4]])
     assert hstack([a, b]) == M([[1, 2, 3, 4]])
-    grid = block_matrix([[M([[1]]), M([[2]])], [M([[3]]), M([[4]])]])
-    assert grid == M([[1, 2], [3, 4]])
 
 
 def test_zero_dimension_edges():

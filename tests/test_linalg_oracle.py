@@ -11,19 +11,25 @@ once as they are and once with `linalg.rref` swapped for the oracle's.
 tall, wide and row-less matrices, as `MatrixQ` and as `MatrixZ`, against
 the oracle and against the rank of the transpose.  `EchelonBasis` is
 checked against the rank-based `in_span` on streams of vectors.
+`MatrixQ.__add__`, which passes an entry through when the other is zero,
+is checked against the entrywise `Fraction` sum, and `middle_term`, which
+writes its blocks row by row, against a `vstack`/`hstack` assembly.
 """
 
 from fractions import Fraction
 from math import lcm
+from random import Random
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivrep import CocycleElement, Representation, direct_sum, make_rep, middle_term
 from quivrep import linalg
 from quivrep.errors import ShapeMismatch
-from quivrep.linalg import (EchelonBasis, MatrixQ, MatrixZ, image_basis, in_span, inverse,
-                            kernel_basis, rank, rref)
+from quivrep.linalg import (EchelonBasis, MatrixQ, MatrixZ, hstack, image_basis, in_span, inverse,
+                            kernel_basis, rank, rref, vstack)
+from util import random_quiver_with_cycles, random_rep, with_rational_entries
 
 
 def _oracle_echelon(table):
@@ -237,3 +243,69 @@ def test_echelon_basis_membership_matches_in_span(stream):
             basis.add(row)
             kept.append(v)
         assert len(basis) == rank(MatrixQ.from_rows(kept))
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two matrices of one shape, 0x0 up, with zero, negative, non-integer
+    and huge entries and some rows zeroed."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return _filled(draw, rows, cols), _filled(draw, rows, cols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(same_shape_pairs())
+def test_sum_matches_the_entrywise_fraction_sum(pair):
+    a, b = pair
+    total = a + b
+    assert total.shape == a.shape
+    assert total.data == tuple(tuple(x + y for x, y in zip(ra, rb))
+                               for ra, rb in zip(a.data, b.data))
+    assert all(type(x) is Fraction for x in total.entries())
+    assert b + a == total
+
+
+def test_sum_refuses_mismatched_shapes():
+    for a, b in ((MatrixQ.zeros(2, 3), MatrixQ.zeros(3, 2)),
+                 (MatrixQ.zeros(0, 2), MatrixQ.zeros(0, 3))):
+        assert outcome(a.__add__, b) is ShapeMismatch
+
+
+def oracle_middle_term(z: CocycleElement, u: Representation, v: Representation) -> Representation:
+    """Blocks [[U_a, Z_a], [0, V_a]] assembled with hstack and vstack."""
+    mats = [vstack([hstack([ua, za]), hstack([MatrixQ.zeros(va.rows, ua.cols), va])])
+            for ua, va, za in zip(u.matrices, v.matrices, z.matrices)]
+    return Representation.of(u.quiver, u.dim + v.dim, mats)
+
+
+def _random_cocycle(rng: Random, u: Representation, v: Representation) -> CocycleElement:
+    """Any per-arrow family of the right shapes: not checked to be a cocycle."""
+    values = (0, 0, 1, -1, Fraction(1, 2), Fraction(-7, 3))
+    n = sum(u.dim[a.target] * v.dim[a.source] for a in u.quiver.arrows)
+    return CocycleElement.from_flat(u.quiver, u.dim, v.dim,
+                                    tuple(Fraction(rng.choice(values)) for _ in range(n)))
+
+
+def test_middle_term_matches_the_stacked_blocks():
+    zero_dim_cases = 0
+    for seed in range(300):
+        rng = Random(seed)
+        quiver = random_quiver_with_cycles(rng)
+        u, v = random_rep(rng, quiver), with_rational_entries(random_rep(rng, quiver), rng)
+        if seed % 10 == 0:
+            u = make_rep(quiver, {})  # zero at every vertex
+        zero_dim_cases += 0 in u.dim.entries + v.dim.entries
+        z = _random_cocycle(rng, u, v)
+        w = middle_term(z, u, v)
+        assert w == oracle_middle_term(z, u, v)
+        assert all(type(x) is Fraction for m in w.matrices for x in m.entries())
+        zero = CocycleElement.from_flat(quiver, u.dim, v.dim, (Fraction(0),) * len(z.flatten()))
+        assert direct_sum(u, v) == oracle_middle_term(zero, u, v)
+        # a Z matrix one row or one column off is refused by both
+        for i, za in enumerate(z.matrices):
+            for rows, cols in ((za.rows + 1, za.cols), (za.rows, za.cols + 1)):
+                bad = CocycleElement(quiver, u.dim, v.dim, z.matrices[:i]
+                                     + (MatrixQ.zeros(rows, cols),) + z.matrices[i + 1:])
+                assert outcome(middle_term, bad, u, v) is ShapeMismatch
+                assert outcome(oracle_middle_term, bad, u, v) is ShapeMismatch
+    assert zero_dim_cases > 100

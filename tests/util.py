@@ -7,6 +7,7 @@ the remaining arrows with small random integer matrices.  Each term of each
 relation then evaluates to the zero matrix exactly.
 """
 
+import re
 from collections import defaultdict
 from fractions import Fraction
 from random import Random
@@ -17,6 +18,7 @@ from quivrep import (
     CocycleElement,
     DimVector,
     Family,
+    FamilyParams,
     MatrixQ,
     Path,
     Quiver,
@@ -300,3 +302,22 @@ def _conjugation_audit(fam: Family, m: Representation, probe: Representation,
     moved = conjugate(m, g)
     return (fam.decomposable_locus_member(moved)
             and hom_dim(probe, moved) == hom_probe)
+
+
+def predicted_row(params: FamilyParams, u: str, v: str) -> dict:
+    """Every integer of the grid row (u, v) of `params`, from the arm lengths alone.
+
+    On every label: hom(S_b, M) = 1, Z(H', H') = p+q+r-1, Z(H'', H'') = s+t,
+    Z(H', H'') = 0, B(H'', H') = 1, hom(H', H'') = 1 and hom(H'', H') = 0,
+    so the four-summand total is p+q+r+s+t, which is also a(d).  The
+    constrained dimension exceeds that total by one exactly at
+    (alpha_p, xi_j) and (gamma_r, delta_j) with j >= 2.  Observed on every
+    row of the arms-1..3 tuples, not proved; it reads no computed number.
+    """
+    p, q, r, s, t = params.p, params.q, params.r, params.s, params.t
+    total = p + q + r + s + t
+    arm = re.fullmatch(r"(xi|delta)(\d+)", v)
+    extra = (arm is not None and int(arm[2]) >= 2
+             and u == {"xi": f"alpha{p}", "delta": f"gamma{r}"}[arm[1]])
+    return {"hom_probe": 1, "z_h1h1": p + q + r - 1, "z_h2h2": s + t, "z_cross": 0,
+            "b_cross": 1, "direct": total + extra, "hom_12": 1, "hom_21": 0}
