@@ -33,28 +33,6 @@ def parse_params(text: str) -> FamilyParams:
     return FamilyParams(*parts)
 
 
-def sweep_one(params: FamilyParams) -> dict:
-    start = time.perf_counter()
-    try:
-        report = verify_family(params)
-        verdict = "pass"
-    except (DecompositionMismatch, InequalityViolated) as exc:
-        report = exc.report
-        verdict = type(exc).__name__
-    seconds = time.perf_counter() - start
-    return {
-        "params": str(params),
-        "forms": (report.tits_h1, report.tits_h2, report.euler_h1_h2, report.euler_h2_h1),
-        "tits_total": report.tits_total,
-        "glsum": report.glsum_total,
-        "expected": report.expected_total,
-        "verdict": verdict,
-        "rows": len(report.rows),
-        "bad_pairs": sorted({line.split(":")[0] for line in report.failures}),
-        "seconds": seconds,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--params", action="append", type=parse_params,
@@ -76,15 +54,22 @@ def main(argv=None) -> int:
           f"{'rows':>4}  verdict")
     n_bad = 0
     for params in grid:
-        row = sweep_one(params)
-        verdict = row["verdict"]
-        if row["bad_pairs"]:
-            verdict += " at " + ", ".join(row["bad_pairs"])
+        start = time.perf_counter()
+        try:
+            report, verdict = verify_family(params), "pass"
+        except (DecompositionMismatch, InequalityViolated) as exc:
+            report, verdict = exc.report, type(exc).__name__
+        seconds = time.perf_counter() - start
+        bound = report.expected_total
+        bad_pairs = sorted({f"(u={row.u}, v={row.v})" for row in report.rows
+                            if row.status(bound) != "ok"})
+        if bad_pairs:
+            verdict += " at " + ", ".join(bad_pairs)
             n_bad += 1
-        print(f"{row['params']:<14} {str(row['forms']):<14} "
-              f"{row['tits_total']:>4} {row['glsum']:>3} {row['expected']:>4} "
-              f"{row['rows']:>4}  {verdict}")
-        print(f"{row['params']} {row['seconds']:.2f}s", file=sys.stderr)
+        forms = (report.tits_h1, report.tits_h2, report.euler_h1_h2, report.euler_h2_h1)
+        print(f"{str(params):<14} {str(forms):<14} {report.tits_total:>4} "
+              f"{report.glsum_total:>3} {bound:>4} {len(report.rows):>4}  {verdict}")
+        print(f"{params} {seconds:.2f}s", file=sys.stderr)
     print(f"done: {len(grid) - n_bad} clean, {n_bad} with flagged pairs")
     return 0
 

@@ -47,8 +47,8 @@ class FamilyParams(Value):
 
     def __init__(self, p: int, q: int, r: int, s: int, t: int):
         for name, value in zip(self._fields, (p, q, r, s, t)):
-            if value < 1:
-                raise QuivrepError(f"arm length {name} must be at least 1")
+            if not isinstance(value, int) or value < 1:
+                raise QuivrepError(f"arm length {name} must be an integer >= 1, got {value!r}")
         super().__init__(p, q, r, s, t)
 
     def __str__(self) -> str:
@@ -242,91 +242,73 @@ class FamilyReport(Value):
         "tits_total", "glsum_total", "expected_total", "rows", "min_hom_12",
         "min_hom_21", "stratum_dim", "failures")
 
+    # (kv key, text label, field) of each form, in report order.
+    _FORMS = (
+        ("dim.h1", "h1", "h1"), ("dim.h2", "h2", "h2"), ("dim.total", "total", "total"),
+        ("form.tits_h1", "tits(h1)", "tits_h1"), ("form.tits_h2", "tits(h2)", "tits_h2"),
+        ("form.euler_h1_h2", "euler(h1,h2)", "euler_h1_h2"),
+        ("form.euler_h2_h1", "euler(h2,h1)", "euler_h2_h1"),
+        ("form.tits_total", "tits(total)", "tits_total"),
+        ("form.glsum_total", "glsum(total)", "glsum_total"),
+        ("form.expected_total", "expected_dim(total)", "expected_total"),
+    )
+    # (kv key, text heading, width) of each cell of _row_cells.  The bound has
+    # no kv key: the kv report gives it once, as form.expected_total.
+    _COLUMNS = (
+        ("u", "u", 8), ("v", "v", 8), ("hom_probe", "hom(S,M)", 9),
+        ("z_h1h1", "z(h1,h1)", 9), ("z_h2h2", "z(h2,h2)", 9), ("z_cross", "z(h1,h2)", 9),
+        ("b_cross", "b(h2,h1)", 9), ("total", "total", 6), ("direct", "direct", 7),
+        (None, "bound", 6), ("status", "status", 7),
+    )
+
     @property
     def all_ok(self) -> bool:
         return not self.failures
 
+    def _row_cells(self, row: GridRow) -> tuple:
+        bound = self.expected_total
+        return (row.u, row.v, row.hom_probe, row.z_h1h1, row.z_h2h2, row.z_cross, row.b_cross,
+                row.summand_total, row.direct, bound, row.status(bound))
+
+    def _quiver_facts(self) -> tuple:
+        return (("vertices", self.vertices), ("arrows", self.arrows),
+                ("relations", self.relations), ("admissible", _yn(self.admissible)),
+                ("triangular", _yn(self.triangular)))
+
     def to_text(self) -> str:
+        table = [[heading for _, heading, _ in self._COLUMNS]]
+        table += [self._row_cells(row) for row in self.rows]
         lines = [
-            f"family parameters: p={self.params.p} q={self.params.q} "
-            f"r={self.params.r} s={self.params.s} t={self.params.t}",
-            f"quiver: vertices={self.vertices} arrows={self.arrows} "
-            f"relations={self.relations} admissible={_yn(self.admissible)} "
-            f"triangular={_yn(self.triangular)}",
+            "family parameters: "
+            + " ".join(f"{name}={getattr(self.params, name)}" for name in FamilyParams._fields),
+            "quiver: " + " ".join(f"{name}={value}" for name, value in self._quiver_facts()),
             "conventions: arm relation signs (+1,-1,+1) and (+1,-1); "
             "scalar labels sit on alpha1 (partner scalar+1 on beta1) and on xi1; "
             "beta-arm arrow labels put -1 on alpha1",
-            f"h1 = {self.h1}",
-            f"h2 = {self.h2}",
-            f"total = {self.total}",
-            f"tits(h1) = {self.tits_h1}",
-            f"tits(h2) = {self.tits_h2}",
-            f"euler(h1,h2) = {self.euler_h1_h2}",
-            f"euler(h2,h1) = {self.euler_h2_h1}",
-            f"tits(total) = {self.tits_total}",
-            f"glsum(total) = {self.glsum_total}",
-            f"expected_dim(total) = {self.expected_total}",
+            *(f"{label} = {getattr(self, field)}" for _, label, field in self._FORMS),
             "probe: simple module at b",
             "",
-        ]
-        header = (f"{'u':>8} {'v':>8} {'hom(S,M)':>9} {'z(h1,h1)':>9} "
-                  f"{'z(h2,h2)':>9} {'z(h1,h2)':>9} {'b(h2,h1)':>9} "
-                  f"{'total':>6} {'direct':>7} {'bound':>6} {'status':>7}")
-        lines.append(header)
-        for row in self.rows:
-            lines.append(
-                f"{row.u:>8} {row.v:>8} {row.hom_probe:>9} {row.z_h1h1:>9} "
-                f"{row.z_h2h2:>9} {row.z_cross:>9} {row.b_cross:>9} "
-                f"{row.summand_total:>6} {row.direct:>7} {self.expected_total:>6} "
-                f"{row.status(self.expected_total):>7}")
-        lines.append("")
-        lines.append(f"min hom(h1 rep, h2 rep) over grid = {self.min_hom_12}")
-        lines.append(f"min hom(h2 rep, h1 rep) over grid = {self.min_hom_21}")
-        lines.append(
+            *(" ".join(f"{cell:>{width}}" for cell, (_, _, width) in zip(cells, self._COLUMNS))
+              for cells in table),
+            "",
+            f"min hom(h1 rep, h2 rep) over grid = {self.min_hom_12}",
+            f"min hom(h2 rep, h1 rep) over grid = {self.min_hom_21}",
             f"direct-sum stratum dim = {self.stratum_dim} "
-            f"(matches expected_dim: {_yn(self.stratum_dim == self.expected_total)})")
-        lines.append(f"rows: {len(self.rows)}  failures: {len(self.failures)}")
-        if self.failures:
-            for f in self.failures:
-                lines.append(f"FAILED: {f}")
-        else:
-            lines.append("ALL CHECKS PASSED")
+            f"(matches expected_dim: {_yn(self.stratum_dim == self.expected_total)})",
+            f"rows: {len(self.rows)}  failures: {len(self.failures)}",
+            *([f"FAILED: {f}" for f in self.failures] or ["ALL CHECKS PASSED"]),
+        ]
         return "\n".join(lines) + "\n"
 
     def to_kv(self) -> str:
-        pairs = [
-            ("params.p", self.params.p), ("params.q", self.params.q),
-            ("params.r", self.params.r), ("params.s", self.params.s),
-            ("params.t", self.params.t),
-            ("quiver.vertices", self.vertices), ("quiver.arrows", self.arrows),
-            ("quiver.relations", self.relations),
-            ("quiver.admissible", _yn(self.admissible)),
-            ("quiver.triangular", _yn(self.triangular)),
-            ("dim.h1", self.h1), ("dim.h2", self.h2), ("dim.total", self.total),
-            ("form.tits_h1", self.tits_h1), ("form.tits_h2", self.tits_h2),
-            ("form.euler_h1_h2", self.euler_h1_h2),
-            ("form.euler_h2_h1", self.euler_h2_h1),
-            ("form.tits_total", self.tits_total),
-            ("form.glsum_total", self.glsum_total),
-            ("form.expected_total", self.expected_total),
-            ("grid.rows", len(self.rows)),
-            ("grid.min_hom_12", self.min_hom_12),
-            ("grid.min_hom_21", self.min_hom_21),
-            ("grid.stratum_dim", self.stratum_dim),
-        ]
+        pairs = [(f"params.{name}", getattr(self.params, name)) for name in FamilyParams._fields]
+        pairs += [(f"quiver.{name}", value) for name, value in self._quiver_facts()]
+        pairs += [(key, getattr(self, field)) for key, _, field in self._FORMS]
+        pairs += [("grid.rows", len(self.rows)), ("grid.min_hom_12", self.min_hom_12),
+                  ("grid.min_hom_21", self.min_hom_21), ("grid.stratum_dim", self.stratum_dim)]
         for i, row in enumerate(self.rows):
-            prefix = f"row.{i}"
-            pairs.extend([
-                (f"{prefix}.u", row.u), (f"{prefix}.v", row.v),
-                (f"{prefix}.hom_probe", row.hom_probe),
-                (f"{prefix}.z_h1h1", row.z_h1h1),
-                (f"{prefix}.z_h2h2", row.z_h2h2),
-                (f"{prefix}.z_cross", row.z_cross),
-                (f"{prefix}.b_cross", row.b_cross),
-                (f"{prefix}.total", row.summand_total),
-                (f"{prefix}.direct", row.direct),
-                (f"{prefix}.status", row.status(self.expected_total)),
-            ])
+            pairs += [(f"row.{i}.{key}", cell) for cell, (key, _, _)
+                      in zip(self._row_cells(row), self._COLUMNS) if key]
         pairs.append(("result", "pass" if self.all_ok else "fail"))
         return "".join(f"{k} = {v}\n" for k, v in pairs)
 

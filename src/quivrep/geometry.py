@@ -124,15 +124,11 @@ def constrained_cocycles(probe: Representation, n: Representation,
     coboundaries, which are independent (an rref image basis); then, in
     one sweep, each basis vector of Z(N, N) and each pairwise sum joins it
     when its reduced row is nonzero, that is when it lies outside the span,
-    and it is a member.  The dimension is the size of the basis.  A greedy
-    independent subset of the coboundaries and the member basis vectors
-    keeps the same rows in the same order: every coboundary, then a member
-    exactly when it is outside the span kept so far.  Membership does not
-    depend on the span, so testing the span first only skips probes, and
-    as the span only grows a second sweep could add nothing.  The
-    dimension is a lower bound in general, exact on the tested family
-    grids; see
-    ``test_constrained_cocycles_under_reports_off_the_grid``.
+    and it is a member.  The dimension is the size of the basis.  Membership
+    does not depend on the span, so testing the span first only skips
+    probes, and as the span only grows a second sweep could add nothing.
+    The dimension is a lower bound in general, exact on the tested family
+    grids; see ``test_constrained_cocycles_under_reports_off_the_grid``.
     """
     h = hom_dim(probe, n)
     z_basis = cocycle_space(n, n, bq).elements
@@ -143,7 +139,9 @@ def constrained_cocycles(probe: Representation, n: Representation,
         return hom_dim(probe, w) == 2 * h
 
     # A pairwise sum of basis vectors can be a member even when neither
-    # summand is (the locus need not align with the basis).
+    # summand is (the locus need not align with the basis); off the family
+    # grids a sum can add a dimension the basis vectors miss, see
+    # ``test_constrained_cocycles_counts_a_member_only_a_pairwise_sum_finds``.
     sums = (zi + zj for i, zi in enumerate(z_basis) for zj in z_basis[i + 1:])
     span = EchelonBasis()
     for b in b_basis.elements:

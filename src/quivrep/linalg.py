@@ -62,8 +62,11 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return parse_rational(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+        try:
+            return parse_rational(x)
+        except (ValueError, ZeroDivisionError):
+            raise QuivrepError(f"cannot read {x!r} as an exact rational") from None
+    raise QuivrepError(f"cannot interpret {x!r} as an exact rational")
 
 
 class MatrixQ(Value):
@@ -460,7 +463,7 @@ def seeded_rng(*label) -> random.Random:
 def random_matrix(rows: int, cols: int, rng: random.Random, bound: int = 3) -> MatrixQ:
     """Uniform integer entries in [-bound, bound], as exact rationals."""
     if bound < 1:
-        raise ValueError("entry bound must be at least 1")
+        raise QuivrepError(f"entry bound must be at least 1, got {bound}")
     return MatrixQ(rows, cols, tuple(
         tuple(Fraction(rng.randint(-bound, bound)) for _ in range(cols)) for _ in range(rows)))
 

@@ -221,11 +221,13 @@ class DimVector(Value):
             unknown = [v for v in values if v not in quiver.vertex_index]
             if unknown:
                 raise QuivrepError(f"dimension given for unknown vertex {unknown[0]!r}")
-            entries = tuple(int(values.get(v, 0)) for v in quiver.vertices)
+            entries = tuple(values.get(v, 0) for v in quiver.vertices)
         else:
-            entries = tuple(int(x) for x in values)
+            entries = tuple(values)
             if len(entries) != len(quiver.vertices):
                 raise QuivrepError("dimension vector length != number of vertices")
+        if not all(isinstance(x, int) for x in entries):
+            raise QuivrepError(f"dimension vector entries must be integers, got {entries}")
         if any(x < 0 for x in entries):
             raise QuivrepError("dimension vector entries must be nonnegative")
         return DimVector(quiver, entries)

@@ -33,7 +33,7 @@ from operator import mul
 
 from ._value import Value, _set
 from .errors import QuivrepError, ShapeMismatch
-from .linalg import MAX_CELLS, MatrixQ
+from .linalg import MAX_CELLS, MatrixQ, inverse
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
 
 
@@ -151,8 +151,6 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
 
 def conjugate(m: Representation, g: Mapping[str, MatrixQ]) -> Representation:
     """Base change by an invertible family g: arrow matrix g_t M_a g_s^{-1}."""
-    from .linalg import inverse
-
     g_inv = {v: inverse(g[v]) for v in m.quiver.vertices}
     return Representation.of(m.quiver, m.dim, [g[arrow.target] @ a @ g_inv[arrow.source]
                                                for arrow, a in zip(m.quiver.arrows, m.matrices)])

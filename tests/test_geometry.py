@@ -25,6 +25,7 @@ from quivrep import (
 from quivrep.errors import HomNotZero, NotAVarietyPoint
 from quivrep.family import Family, FamilyParams
 from quivrep.homology import cocycle_space, coboundary_space
+from quivrep.linalg import MatrixQ, rank
 
 from util import (constrained_cocycles_audited, exact_constrained_dim, hitting_set_point,
                   random_bound_quiver, random_dims)
@@ -180,6 +181,31 @@ def test_exact_constrained_dim_counts_the_member_the_search_misses():
     assert (cocycle_space(n, n, bq).dim, coboundary_space(n, n).dim) == (7, 4)
     assert middle_term(z, n, n).is_variety_point(bq)
     assert hom_dim(probe, middle_term(z, n, n)) == 2
+    assert exact_constrained_dim(probe, n, bq) == 5
+
+
+def test_constrained_cocycles_counts_a_member_only_a_pairwise_sum_finds():
+    # Why the sweep keeps its pairwise sums: on this point the members among
+    # the Z basis span 4 dimensions with B, and a sum of two basis vectors
+    # reaches the fifth.  It is draw 726 of 3,000 from Random(7), each
+    # random_bound_quiver(rng, 4, 5), random_dims(rng, quiver, 2),
+    # hitting_set_point and one simple probe at rng.choice(vertices): one of
+    # 2 such points among the 1,449 draws with hom(probe, N) > 0.
+    q = Quiver.build(("v1", "v2", "v3"), (
+        Arrow("a1", "v3", "v1"), Arrow("a2", "v2", "v1"), Arrow("a3", "v3", "v2"),
+        Arrow("a4", "v3", "v2"), Arrow("a5", "v2", "v1")))
+    bq = BoundQuiver.of(q, [Relation.of([(1, q.path(["a2", "a4"]))]),
+                            Relation.of([(1, q.path(["a5", "a3"]))])])
+    n = make_rep(q, (1, 1, 2), {"a1": [[-2, -2]], "a2": [[-2]]})
+    probe = simple_rep(q, "v3")
+    assert n.is_variety_point(bq) and hom_dim(probe, n) == 1
+    z_basis = cocycle_space(n, n, bq).elements
+    b_basis = coboundary_space(n, n).elements
+    assert (len(z_basis), len(b_basis)) == (6, 3)
+    members = [z for z in z_basis if hom_dim(probe, middle_term(z, n, n)) == 2]
+    basis_only = MatrixQ.from_rows([v.flatten() for v in [*b_basis, *members]])
+    assert rank(basis_only) == 4
+    assert constrained_cocycles(probe, n, bq).constrained_dim == 5
     assert exact_constrained_dim(probe, n, bq) == 5
 
 

@@ -42,6 +42,19 @@ def test_ragged_literal_rejected():
         M([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("entry", [1.5, "x", "1/0"], ids=str)
+def test_literal_entry_that_is_not_an_exact_rational_raises_quivrep_error(entry):
+    # A float, an unreadable string and a zero denominator, not a bare
+    # TypeError, ValueError or ZeroDivisionError.
+    with pytest.raises(QuivrepError, match="exact rational"):
+        M([[entry]])
+
+
+def test_random_matrix_refuses_an_entry_bound_below_one():
+    with pytest.raises(QuivrepError, match="entry bound must be at least 1"):
+        random_matrix(1, 1, Random(0), 0)
+
+
 def test_arithmetic():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])

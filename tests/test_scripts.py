@@ -22,6 +22,18 @@ def test_family_sweep_stdout_is_deterministic():
     assert runs[0].stdout.count(" pass\n") == 2
 
 
+def test_family_sweep_prints_its_pinned_report():
+    # The passing branch, a grid with flagged pairs and a mixed tuple, pinned
+    # by digest: a change to a form, a bound, a verdict or a pair changes it.
+    argv = [sys.executable, os.path.join(ROOT, "scripts", "family_sweep.py"),
+            "--params", "1,1,1,1,1", "--params", "2,2,2,2,2", "--params", "1,2,1,2,1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "InequalityViolated at (u=alpha2, v=xi2), (u=gamma2, v=delta2)" in proc.stdout
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest[:16] == "d90be70925a34eb6"
+
+
 def test_regularity_survey_stdout_is_deterministic():
     # Hereditary points all certify regular; a fixed seed prints the same bytes.
     argv = [sys.executable, os.path.join(ROOT, "scripts", "regularity_survey.py"),

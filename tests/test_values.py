@@ -94,11 +94,24 @@ def test_repr_names_every_field_in_constructor_order():
     assert repr(FamilyParams(1, 2, 3, 4, 5)) == "FamilyParams(p=1, q=2, r=3, s=4, t=5)"
 
 
-def test_family_params_validation():
-    with pytest.raises(QuivrepError):
-        FamilyParams(0, 1, 1, 1, 1)
-    with pytest.raises(QuivrepError, match="arm length t"):
-        FamilyParams(1, 1, 1, 1, 0)
+@pytest.mark.parametrize("arms, message", [
+    ((0, 1, 1, 1, 1), "arm length p"),
+    ((1, 1, 1, 1, 0), "arm length t"),
+    ((2.5, 1, 1, 1, 1), "arm length p must be an integer"),
+    (("2", 1, 1, 1, 1), "arm length p must be an integer"),
+], ids=str)
+def test_family_params_validation(arms, message):
+    with pytest.raises(QuivrepError, match=message):
+        FamilyParams(*arms)
+
+
+def test_dimension_vector_refuses_a_non_integer_entry():
+    # int() would truncate 1.9 to 1 and build a smaller point than asked for.
+    q = _quiver()
+    with pytest.raises(QuivrepError, match="must be integers"):
+        DimVector.of(q, (1.9, 2, 0))
+    with pytest.raises(QuivrepError, match="must be integers"):
+        make_rep(q, {"a": 1.5, "b": 1})
 
 
 def _report():
