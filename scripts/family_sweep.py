@@ -61,8 +61,7 @@ def main(argv=None) -> int:
             report, verdict = exc.report, type(exc).__name__
         seconds = time.perf_counter() - start
         bound = report.expected_total
-        bad_pairs = sorted({f"(u={row.u}, v={row.v})" for row in report.rows
-                            if row.status(bound) != "ok"})
+        bad_pairs = sorted({row.pair for row in report.rows if row.status(bound) != "ok"})
         if bad_pairs:
             verdict += " at " + ", ".join(bad_pairs)
             n_bad += 1

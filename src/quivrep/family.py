@@ -217,6 +217,10 @@ class GridRow(Value):
     def summand_total(self) -> int:
         return self.z_h1h1 + self.z_h2h2 + self.z_cross + self.b_cross
 
+    @property
+    def pair(self) -> str:
+        return f"(u={self.u}, v={self.v})"
+
     def failed_checks(self, bound: int) -> list:
         """The row's failed checks in report order, as (message, exceeds_bound) pairs."""
         checks = (
@@ -288,8 +292,8 @@ class FamilyReport(Value):
             *(f"{label} = {getattr(self, field)}" for _, label, field in self._FORMS),
             "probe: simple module at b",
             "",
-            *(" ".join(f"{cell:>{width}}" for cell, (_, _, width) in zip(cells, self._COLUMNS))
-              for cells in table),
+            *(" ".join(f"{cell:>{width}}" for cell, (_, _, width)
+                       in zip(cells, self._COLUMNS, strict=True)) for cells in table),
             "",
             f"min hom(h1 rep, h2 rep) over grid = {self.min_hom_12}",
             f"min hom(h2 rep, h1 rep) over grid = {self.min_hom_21}",
@@ -308,7 +312,7 @@ class FamilyReport(Value):
                   ("grid.min_hom_21", self.min_hom_21), ("grid.stratum_dim", self.stratum_dim)]
         for i, row in enumerate(self.rows):
             pairs += [(f"row.{i}.{key}", cell) for cell, (key, _, _)
-                      in zip(self._row_cells(row), self._COLUMNS) if key]
+                      in zip(self._row_cells(row), self._COLUMNS, strict=True) if key]
         pairs.append(("result", "pass" if self.all_ok else "fail"))
         return "".join(f"{k} = {v}\n" for k, v in pairs)
 
@@ -351,10 +355,8 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
             if label in labels[:i]:
                 raise InvalidLabel(f"{axis} label {label} appears twice on the grid")
     bound = expected_dim(fam.total_dim, bq)
-    rows = []
-    failures = []
-    decomposition_bad = []
-    inequality_bad = []
+    rows, failures = [], []
+    decomposition_bad, inequality_bad = [], []
     reps_v, z_v = {}, {}
     for u in u_labels:
         rep_u = fam.rep_h1(u)
@@ -364,7 +366,6 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
                 reps_v[iv] = fam.rep_h2(v)
                 z_v[iv] = ext_report(reps_v[iv], reps_v[iv], bq).z_dim
             rep_v = reps_v[iv]
-            pair = f"(u={u}, v={v})"
             stratum = constrained_cocycles(probe, direct_sum(rep_u, rep_v), bq)
             uv = ext_report(rep_u, rep_v, bq)
             vu = ext_report(rep_v, rep_u, bq)
@@ -375,18 +376,17 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
             )
             rows.append(row)
             for message, exceeds_bound in row.failed_checks(bound):
-                failures.append(f"{pair}: {message}")
-                (inequality_bad if exceeds_bound else decomposition_bad).append(pair)
+                failures.append(f"{row.pair}: {message}")
+                (inequality_bad if exceeds_bound else decomposition_bad).append(row.pair)
     min_hom_12 = min((r.hom_12 for r in rows), default=0)
     min_hom_21 = min((r.hom_21 for r in rows), default=0)
     stratum_dim = direct_sum_stratum_dim(
         expected_dim(fam.h1, bq), expected_dim(fam.h2, bq), fam.h1, fam.h2,
         min_hom_12, min_hom_21)
-    quiver = fam.quiver
     report = FamilyReport(
-        params=params, vertices=len(quiver.vertices), arrows=len(quiver.arrows),
+        params=params, vertices=len(fam.quiver.vertices), arrows=len(fam.quiver.arrows),
         relations=len(bq.relations), admissible=bq.is_admissible,
-        triangular=is_triangular(quiver),
+        triangular=is_triangular(fam.quiver),
         h1=fam.h1, h2=fam.h2, total=fam.total_dim,
         tits_h1=tits_form(fam.h1, bq), tits_h2=tits_form(fam.h2, bq),
         euler_h1_h2=euler_form(fam.h1, fam.h2, bq),
