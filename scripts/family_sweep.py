@@ -23,14 +23,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from quivrep import FamilyParams, verify_family  # noqa: E402
-from quivrep.errors import DecompositionMismatch, InequalityViolated  # noqa: E402
+from quivrep.errors import (DecompositionMismatch, InequalityViolated,  # noqa: E402
+                            QuivrepError)
 
 
 def parse_params(text: str) -> FamilyParams:
     parts = [int(x) for x in text.split(",")]
     if len(parts) != 5:
         raise argparse.ArgumentTypeError("expected five comma-separated integers")
-    return FamilyParams(*parts)
+    try:
+        return FamilyParams(*parts)
+    except QuivrepError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main(argv=None) -> int:

@@ -13,9 +13,9 @@ never loads ``family`` or ``textio``.
 import importlib
 
 _EXPORTS = {
-    "errors": ("DecompositionMismatch", "HomNotZero", "InequalityViolated",
-               "InvalidLabel", "MixedEndpoints", "NonComposable", "NotAVarietyPoint",
-               "ParseError", "QuivrepError", "ShapeMismatch", "WrongDimension"),
+    "errors": ("DecompositionMismatch", "InequalityViolated", "InvalidLabel",
+               "MixedEndpoints", "NonComposable", "NotAVarietyPoint", "ParseError",
+               "QuivrepError", "ShapeMismatch", "WrongDimension"),
     "linalg": ("MatrixQ", "kernel_basis", "kron", "random_invertible", "random_matrix",
                "rank", "seeded_rng"),
     "quiver": ("Arrow", "BoundQuiver", "DimVector", "Path", "Quiver", "Relation",
@@ -28,7 +28,7 @@ _EXPORTS = {
                  "iso_probable", "orbit_dim"),
     "geometry": ("RegularityCertificate", "StratumReport", "bisection_classify",
                  "constrained_cocycles", "direct_sum_stratum_dim",
-                 "ext_stratum_tangent_bound", "regularity_certificate"),
+                 "regularity_certificate"),
     "family": ("Family", "FamilyParams", "FamilyReport", "verify_family"),
     "textio": ("parse_dimvec", "parse_quiver", "parse_rep", "serialize_quiver",
                "serialize_rep"),

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .errors import (DecompositionMismatch, InequalityViolated, ParseError,
                      QuivrepError)
-from .quiver import (classify_dimvector, euler_form, expected_dim, is_triangular,
-                     tits_form)
+from .quiver import (classify_dimvector, euler_form, expected_dim, quiver_facts,
+                     tits_form, yes_no)
 from .rep import Representation
 from .textio import (parse_dimvec, parse_quiver, parse_rep, serialize_quiver,
                      serialize_rep)
@@ -56,10 +56,7 @@ def _load_rep(path: str, quiver) -> Representation:
 
 
 def _quiver_summary(bq) -> str:
-    return (f"vertices={len(bq.quiver.vertices)} arrows={len(bq.quiver.arrows)} "
-            f"relations={len(bq.relations)} "
-            f"admissible={'yes' if bq.is_admissible else 'no'} "
-            f"triangular={'yes' if is_triangular(bq.quiver) else 'no'}")
+    return " ".join(f"{name}={value}" for name, value in quiver_facts(bq))
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -70,8 +67,7 @@ def _cmd_validate(args) -> int:
     print(f"quiver OK: {_quiver_summary(bq)}")
     if args.rep:
         m = _load_rep(args.rep, bq.quiver)
-        point = "yes" if m.is_variety_point(bq) else "no"
-        print(f"rep OK: dim {m.dim} variety_point={point}")
+        print(f"rep OK: dim {m.dim} variety_point={yes_no(m.is_variety_point(bq))}")
     return 0
 
 
@@ -81,12 +77,10 @@ def _cmd_invariants(args) -> int:
     bq = _load_quiver(args.quiver)
     m = _load_rep(args.rep, bq.quiver)
     print(f"quiver: {_quiver_summary(bq)}")
-    print(f"rep M: dim {m.dim} "
-          f"variety_point={'yes' if m.is_variety_point(bq) else 'no'}")
+    print(f"rep M: dim {m.dim} variety_point={yes_no(m.is_variety_point(bq))}")
     if args.rep2:
         n = _load_rep(args.rep2, bq.quiver)
-        print(f"rep N: dim {n.dim} "
-              f"variety_point={'yes' if n.is_variety_point(bq) else 'no'}")
+        print(f"rep N: dim {n.dim} variety_point={yes_no(n.is_variety_point(bq))}")
         rep = ext_report(m, n, bq, assert_gldim2=args.assume_gldim2)
         print(f"hom(M,N) = {rep.hom}")
         print(f"z(M,N) = {rep.z_dim}")
@@ -140,20 +134,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    from .family import Family, FamilyParams
+    from .family import Family, FamilyParams, FamilyReport
 
     fam = Family(FamilyParams(args.p, args.q, args.r, args.s, args.t))
     bq = fam.bound_quiver
     print(f"family {fam.params}: {_quiver_summary(bq)}")
-    print(f"h1 = {fam.h1}")
-    print(f"h2 = {fam.h2}")
-    print(f"total = {fam.total_dim}")
-    print(f"tits(h1) = {tits_form(fam.h1, bq)}")
-    print(f"tits(h2) = {tits_form(fam.h2, bq)}")
-    print(f"euler(h1,h2) = {euler_form(fam.h1, fam.h2, bq)}")
-    print(f"euler(h2,h1) = {euler_form(fam.h2, fam.h1, bq)}")
-    print(f"tits(total) = {tits_form(fam.total_dim, bq)}")
-    print(f"expected_dim(total) = {expected_dim(fam.total_dim, bq)}")
+    for _, label, field in FamilyReport._FORMS:
+        if field != "glsum_total":  # never printed here; this stdout is pinned byte for byte
+            print(f"{label} = {fam.forms[field]}")
     # Every text is built before the first write, so a bad label writes no file.
     emits = []
     if args.emit_quiver:

@@ -26,10 +26,6 @@ class NotAVarietyPoint(QuivrepError):
     """A representation does not satisfy the relations it was asked to."""
 
 
-class HomNotZero(QuivrepError):
-    """A tangent bound was requested for a pair with Hom(V, U) != 0."""
-
-
 class WrongDimension(QuivrepError):
     """A representation has a different dimension vector than required."""
 

@@ -34,7 +34,7 @@ from .errors import (DecompositionMismatch, InequalityViolated, InvalidLabel,
                      QuivrepError, WrongDimension)
 from .linalg import hstack, parse_rational, rank, vstack
 from .quiver import (BoundQuiver, DimVector, Quiver, Relation, euler_form,
-                     expected_dim, is_triangular, minimal_convex, tits_form)
+                     expected_dim, minimal_convex, quiver_facts, tits_form, yes_no)
 from .rep import Representation, direct_sum, make_rep, simple_rep
 from .homology import ext_report
 from .geometry import constrained_cocycles, direct_sum_stratum_dim
@@ -129,6 +129,16 @@ class Family:
     @property
     def total_dim(self) -> DimVector:
         return self.h1 + self.h2
+
+    @cached_property
+    def forms(self) -> dict:
+        """The form values of FamilyReport._FORMS, keyed by its field names."""
+        bq, h1, h2, total = self.bound_quiver, self.h1, self.h2, self.total_dim
+        return {"h1": h1, "h2": h2, "total": total,
+                "tits_h1": tits_form(h1, bq), "tits_h2": tits_form(h2, bq),
+                "euler_h1_h2": euler_form(h1, h2, bq), "euler_h2_h1": euler_form(h2, h1, bq),
+                "tits_total": tits_form(total, bq), "glsum_total": total.glsum(),
+                "expected_total": expected_dim(total, bq)}
 
     # -- canonical representations ------------------------------------
 
@@ -237,14 +247,14 @@ class GridRow(Value):
 class FamilyReport(Value):
     """Everything the grid verification measured, ready to print.
 
-    `rows` holds GridRows in grid order, `failures` messages in report order.
+    `quiver_facts` holds the (name, value) pairs of :func:`quiver_facts`,
+    `rows` GridRows in grid order, `failures` messages in report order.
     """
 
     __slots__ = _fields = (
-        "params", "vertices", "arrows", "relations", "admissible", "triangular",
-        "h1", "h2", "total", "tits_h1", "tits_h2", "euler_h1_h2", "euler_h2_h1",
-        "tits_total", "glsum_total", "expected_total", "rows", "min_hom_12",
-        "min_hom_21", "stratum_dim", "failures")
+        "params", "quiver_facts", "h1", "h2", "total", "tits_h1", "tits_h2",
+        "euler_h1_h2", "euler_h2_h1", "tits_total", "glsum_total", "expected_total",
+        "rows", "min_hom_12", "min_hom_21", "stratum_dim", "failures")
 
     # (kv key, text label, field) of each form, in report order.
     _FORMS = (
@@ -274,18 +284,13 @@ class FamilyReport(Value):
         return (row.u, row.v, row.hom_probe, row.z_h1h1, row.z_h2h2, row.z_cross, row.b_cross,
                 row.summand_total, row.direct, bound, row.status(bound))
 
-    def _quiver_facts(self) -> tuple:
-        return (("vertices", self.vertices), ("arrows", self.arrows),
-                ("relations", self.relations), ("admissible", _yn(self.admissible)),
-                ("triangular", _yn(self.triangular)))
-
     def to_text(self) -> str:
         table = [[heading for _, heading, _ in self._COLUMNS]]
         table += [self._row_cells(row) for row in self.rows]
         lines = [
             "family parameters: "
             + " ".join(f"{name}={getattr(self.params, name)}" for name in FamilyParams._fields),
-            "quiver: " + " ".join(f"{name}={value}" for name, value in self._quiver_facts()),
+            "quiver: " + " ".join(f"{name}={value}" for name, value in self.quiver_facts),
             "conventions: arm relation signs (+1,-1,+1) and (+1,-1); "
             "scalar labels sit on alpha1 (partner scalar+1 on beta1) and on xi1; "
             "beta-arm arrow labels put -1 on alpha1",
@@ -298,7 +303,7 @@ class FamilyReport(Value):
             f"min hom(h1 rep, h2 rep) over grid = {self.min_hom_12}",
             f"min hom(h2 rep, h1 rep) over grid = {self.min_hom_21}",
             f"direct-sum stratum dim = {self.stratum_dim} "
-            f"(matches expected_dim: {_yn(self.stratum_dim == self.expected_total)})",
+            f"(matches expected_dim: {yes_no(self.stratum_dim == self.expected_total)})",
             f"rows: {len(self.rows)}  failures: {len(self.failures)}",
             *([f"FAILED: {f}" for f in self.failures] or ["ALL CHECKS PASSED"]),
         ]
@@ -306,7 +311,7 @@ class FamilyReport(Value):
 
     def to_kv(self) -> str:
         pairs = [(f"params.{name}", getattr(self.params, name)) for name in FamilyParams._fields]
-        pairs += [(f"quiver.{name}", value) for name, value in self._quiver_facts()]
+        pairs += [(f"quiver.{name}", value) for name, value in self.quiver_facts]
         pairs += [(key, getattr(self, field)) for key, _, field in self._FORMS]
         pairs += [("grid.rows", len(self.rows)), ("grid.min_hom_12", self.min_hom_12),
                   ("grid.min_hom_21", self.min_hom_21), ("grid.stratum_dim", self.stratum_dim)]
@@ -315,10 +320,6 @@ class FamilyReport(Value):
                       in zip(self._row_cells(row), self._COLUMNS, strict=True) if key]
         pairs.append(("result", "pass" if self.all_ok else "fail"))
         return "".join(f"{k} = {v}\n" for k, v in pairs)
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
 
 
 def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5),
@@ -354,9 +355,8 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
         for i, label in enumerate(labels):
             if label in labels[:i]:
                 raise InvalidLabel(f"{axis} label {label} appears twice on the grid")
-    bound = expected_dim(fam.total_dim, bq)
-    rows, failures = [], []
-    decomposition_bad, inequality_bad = [], []
+    bound = fam.forms["expected_total"]
+    rows = []
     reps_v, z_v = {}, {}
     for u in u_labels:
         rep_u = fam.rep_h1(u)
@@ -369,37 +369,26 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
             stratum = constrained_cocycles(probe, direct_sum(rep_u, rep_v), bq)
             uv = ext_report(rep_u, rep_v, bq)
             vu = ext_report(rep_v, rep_u, bq)
-            row = GridRow(
+            rows.append(GridRow(
                 u=str(u), v=str(v), hom_probe=stratum.hom_to_probe,
                 z_h1h1=z_u, z_h2h2=z_v[iv], z_cross=uv.z_dim, b_cross=vu.b_dim,
                 direct=stratum.constrained_dim, hom_12=uv.hom, hom_21=vu.hom,
-            )
-            rows.append(row)
-            for message, exceeds_bound in row.failed_checks(bound):
-                failures.append(f"{row.pair}: {message}")
-                (inequality_bad if exceeds_bound else decomposition_bad).append(row.pair)
+            ))
+    failed = [(row.pair, message, exceeds_bound) for row in rows
+              for message, exceeds_bound in row.failed_checks(bound)]
     min_hom_12 = min((r.hom_12 for r in rows), default=0)
     min_hom_21 = min((r.hom_21 for r in rows), default=0)
     stratum_dim = direct_sum_stratum_dim(
         expected_dim(fam.h1, bq), expected_dim(fam.h2, bq), fam.h1, fam.h2,
         min_hom_12, min_hom_21)
     report = FamilyReport(
-        params=params, vertices=len(fam.quiver.vertices), arrows=len(fam.quiver.arrows),
-        relations=len(bq.relations), admissible=bq.is_admissible,
-        triangular=is_triangular(fam.quiver),
-        h1=fam.h1, h2=fam.h2, total=fam.total_dim,
-        tits_h1=tits_form(fam.h1, bq), tits_h2=tits_form(fam.h2, bq),
-        euler_h1_h2=euler_form(fam.h1, fam.h2, bq),
-        euler_h2_h1=euler_form(fam.h2, fam.h1, bq),
-        tits_total=tits_form(fam.total_dim, bq),
-        glsum_total=fam.total_dim.glsum(), expected_total=bound,
-        rows=tuple(rows), min_hom_12=min_hom_12, min_hom_21=min_hom_21,
-        stratum_dim=stratum_dim, failures=tuple(failures),
-    )
-    if inequality_bad:
-        raise InequalityViolated(
-            f"dimension bound violated at {', '.join(inequality_bad)}", report)
-    if decomposition_bad:
-        raise DecompositionMismatch(
-            f"decomposition failed at {', '.join(decomposition_bad)}", report)
+        params=params, quiver_facts=quiver_facts(bq), **fam.forms, rows=tuple(rows),
+        min_hom_12=min_hom_12, min_hom_21=min_hom_21, stratum_dim=stratum_dim,
+        failures=tuple(f"{pair}: {message}" for pair, message, _ in failed))
+    over_bound = [pair for pair, _, exceeds_bound in failed if exceeds_bound]
+    mismatched = [pair for pair, _, exceeds_bound in failed if not exceeds_bound]
+    if over_bound:
+        raise InequalityViolated(f"dimension bound violated at {', '.join(over_bound)}", report)
+    if mismatched:
+        raise DecompositionMismatch(f"decomposition failed at {', '.join(mismatched)}", report)
     return report

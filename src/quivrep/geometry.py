@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 from ._value import Value
-from .errors import HomNotZero, NotAVarietyPoint
+from .errors import NotAVarietyPoint
 from .linalg import EchelonBasis
-from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular
+from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular, yes_no
 from .rep import CocycleElement, Representation, middle_term
 from .homology import cocycle_space, coboundary_space, ext_report, hom_dim
 
@@ -57,8 +57,8 @@ class RegularityCertificate:
 
     def lines(self):
         yield f"dim_vector = {self.dim_vector}"
-        yield f"triangular = {_yn(self.triangular)}"
-        yield f"gldim2_asserted = {_yn(self.gldim2_asserted)}"
+        yield f"triangular = {yes_no(self.triangular)}"
+        yield f"gldim2_asserted = {yes_no(self.gldim2_asserted)}"
         yield f"end_dim = {self.end_dim}"
         yield f"ext1_self = {self.ext1_self}"
         yield f"ext2_self = {'unknown' if self.ext2_self is None else self.ext2_self}"
@@ -66,10 +66,6 @@ class RegularityCertificate:
         yield f"expected_dim = {self.expected}"
         yield f"orbit_dim = {self.orbit_dim}"
         yield f"verdict = {self.verdict}"
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
 
 
 def regularity_certificate(m: Representation, bq: BoundQuiver,
@@ -152,22 +148,6 @@ def constrained_cocycles(probe: Representation, n: Representation,
             span.add(row)
 
     return StratumReport(hom_to_probe=h, constrained_dim=len(span))
-
-
-def ext_stratum_tangent_bound(u: Representation, v: Representation,
-                              bq: BoundQuiver) -> int:
-    """Tangent bound for the locus of pairs with a fixed ext^1 dimension.
-
-    Requires hom(V, U) = 0; the bound is
-    expected_dim(dim U) + expected_dim(dim V) - ext^2(V, U), with ext^2
-    from the Euler identity.  That identity gives Ext^2 only when the
-    algebra has global dimension at most two, which the caller asserts by
-    calling this; nothing here checks it.
-    """
-    rep = ext_report(v, u, bq, assert_gldim2=True)
-    if rep.hom != 0:
-        raise HomNotZero(f"tangent bound needs hom(V, U) = 0, got {rep.hom}")
-    return expected_dim(u.dim, bq) + expected_dim(v.dim, bq) - rep.ext2
 
 
 def direct_sum_stratum_dim(dim_u1: int, dim_u2: int, d1: DimVector, d2: DimVector,

@@ -85,6 +85,14 @@ class MatrixQ(Value):
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "MatrixQ":
+        """A matrix literal: a list or tuple of rows, each a list or tuple.
+
+        A string is refused as a literal or a row, not split into characters;
+        a string entry is read as a rational.
+        """
+        if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in rows):
+            raise QuivrepError("matrix literal must be a list or tuple of list or tuple rows")
         table = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
         nrows = len(table)
         ncols = len(table[0]) if table else 0

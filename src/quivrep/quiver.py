@@ -299,6 +299,18 @@ def is_triangular(quiver: Quiver) -> bool:
     return quiver._triangular
 
 
+def yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def quiver_facts(bq: BoundQuiver) -> tuple:
+    """The five (name, value) facts every report gives about a bound quiver."""
+    quiver = bq.quiver
+    return (("vertices", len(quiver.vertices)), ("arrows", len(quiver.arrows)),
+            ("relations", len(bq.relations)), ("admissible", yes_no(bq.is_admissible)),
+            ("triangular", yes_no(is_triangular(quiver))))
+
+
 def _reach(adjacency: Mapping, starts) -> set:
     """The starts plus every vertex reachable from them along `adjacency`."""
     seen = set(starts)

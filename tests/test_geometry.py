@@ -15,14 +15,13 @@ from quivrep import (
     constrained_cocycles,
     direct_sum,
     direct_sum_stratum_dim,
-    ext_stratum_tangent_bound,
     hom_dim,
     make_rep,
     middle_term,
     regularity_certificate,
     simple_rep,
 )
-from quivrep.errors import HomNotZero, NotAVarietyPoint
+from quivrep.errors import NotAVarietyPoint
 from quivrep.family import Family, FamilyParams
 from quivrep.homology import cocycle_space, coboundary_space
 from quivrep.linalg import MatrixQ, rank
@@ -229,18 +228,6 @@ def test_constrained_cocycles_trivial_probe():
     # term of P by P with cocycle z has W_al = [[1, z], [0, 1]], invertible,
     # so hom(S2, W) = 0 for every z: the whole 1-dim Z is constrained.
     assert report.constrained_dim == cocycle_space(n, n, bq).dim == 1
-
-
-def test_ext_stratum_tangent_bound():
-    bq = a2()
-    q = bq.quiver
-    s1 = simple_rep(q, "v1")
-    s2 = simple_rep(q, "v2")
-    # hom(v=s2, u=s1) = 0, ext2 = 0: bound = a(e1) + a(e2) - 0 = 0
-    assert ext_stratum_tangent_bound(s1, s2, bq) == 0
-    with pytest.raises(HomNotZero):
-        # hom(s1, s1) != 0
-        ext_stratum_tangent_bound(s1, s1, bq)
 
 
 def test_direct_sum_stratum_dim_formula():

@@ -18,7 +18,7 @@ from quivrep import (
     simple_rep,
     twisted_evaluate,
 )
-from quivrep.errors import ShapeMismatch
+from quivrep.errors import QuivrepError, ShapeMismatch
 from quivrep.rep import cocycle_ambient_dim
 from util import evaluate_path
 
@@ -39,6 +39,24 @@ def test_make_rep_shapes_and_zero_fill():
     assert m.matrix("beta").is_zero() and m.matrix("beta").shape == (2, 1)
     with pytest.raises(ShapeMismatch):
         make_rep(bq.quiver, {"x1": 1, "x2": 2, "x3": 1}, {"alpha": [[1]]})
+
+
+@pytest.mark.parametrize("literal", [
+    [1],        # a row that is a number
+    5,          # a literal that is a number
+    "1",        # a string literal, once split into the row of its characters
+    ["1"],      # a string row, once split into its characters
+    ("12",),    # once read as the 1 x 2 row [1, 2]
+], ids=repr)
+def test_make_rep_refuses_a_matrix_literal_that_is_not_a_list_of_rows(literal):
+    q = Quiver.build(("a", "b"), [("x", "b", "a")])
+    with pytest.raises(QuivrepError, match="matrix literal must be a list"):
+        make_rep(q, (1, 2), {"x": literal})
+
+
+def test_make_rep_reads_string_entries_as_rationals():
+    q = Quiver.build(("a", "b"), [("x", "b", "a")])
+    assert make_rep(q, (1, 1), {"x": [["2/3"]]}).matrix("x") == MatrixQ.from_rows([[F(2, 3)]])
 
 
 def test_evaluate_path_applies_rightmost_first():

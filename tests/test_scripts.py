@@ -34,6 +34,16 @@ def test_family_sweep_prints_its_pinned_report():
     assert digest[:16] == "d90be70925a34eb6"
 
 
+def test_family_sweep_refuses_an_arm_length_below_one_as_a_usage_error():
+    argv = [sys.executable, os.path.join(ROOT, "scripts", "family_sweep.py"),
+            "--params", "0,1,1,1,1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "arm length p must be an integer >= 1, got 0" in proc.stderr
+
+
 def test_regularity_survey_stdout_is_deterministic():
     # Hereditary points all certify regular; a fixed seed prints the same bytes.
     argv = [sys.executable, os.path.join(ROOT, "scripts", "regularity_survey.py"),

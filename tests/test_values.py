@@ -117,8 +117,9 @@ def test_dimension_vector_refuses_a_non_integer_entry():
 def _report():
     q = _quiver()
     d = DimVector.of(q, (1, 1, 1))
-    return FamilyReport(params=FamilyParams(1, 1, 1, 1, 1), vertices=3, arrows=2,
-                        relations=0, admissible=True, triangular=True, h1=d, h2=d,
+    facts = (("vertices", 3), ("arrows", 2), ("relations", 0), ("admissible", "yes"),
+             ("triangular", "yes"))
+    return FamilyReport(params=FamilyParams(1, 1, 1, 1, 1), quiver_facts=facts, h1=d, h2=d,
                         total=d + d, tits_h1=1, tits_h2=1, euler_h1_h2=0, euler_h2_h1=0,
                         tits_total=2, glsum_total=12, expected_total=8, rows=(),
                         min_hom_12=0, min_hom_21=0, stratum_dim=8, failures=())
