@@ -37,12 +37,17 @@ def parse_params(text: str) -> FamilyParams:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def parse_max_arm(text: str) -> int:
+    """The arm-length bound, refused unless its largest tuple is a family."""
+    return parse_params(",".join([text] * 5)).p
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--params", action="append", type=parse_params,
                         metavar="P,Q,R,S,T",
                         help="explicit tuple; may repeat (overrides --max-arm)")
-    parser.add_argument("--max-arm", type=int, default=2,
+    parser.add_argument("--max-arm", type=parse_max_arm, default=2,
                         help="sweep all tuples with arms in 1..MAX (default 2)")
     parser.add_argument("--seed", type=int, default=1, help="printed; has no effect")
     args = parser.parse_args(argv)

@@ -1,4 +1,4 @@
-"""The base class of the package's immutable value types.
+"""The base class of the immutable value types, and the gate for caller numbers.
 
 A value type names its fields, in constructor order, in a ``_fields``
 tuple (usually also its ``__slots__``).  :class:`Value` derives from that
@@ -13,7 +13,10 @@ its constructor out with ``_set = object.__setattr__``.  The field getter
 is an ``operator.attrgetter`` built once, when the class is defined.
 """
 
+from fractions import Fraction
 from operator import attrgetter
+
+from .errors import QuivrepError
 
 _set = object.__setattr__
 
@@ -59,3 +62,31 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def rational(x) -> Fraction:
+    """A Fraction, an int (not a bool) or an integer, ``p/q`` or decimal string
+    as an exact Fraction; anything else is a QuivrepError.
+
+    A float is a binary fraction (``0.1`` is not 1/10), so it is refused.
+    So is exponent notation, before `Fraction` sees it:
+    ``Fraction('1e100000000')`` builds a hundred-million-digit integer.
+    Fractions are tested first, as every matrix entry passes here.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and x.__class__ is not bool:
+        return Fraction(x)
+    if isinstance(x, str) and "e" not in x and "E" not in x:
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise QuivrepError(f"cannot read {x!r} as an exact rational")
+
+
+def count(x, what: str, least: int) -> int:
+    """`x` if it is an int, not a bool, of at least `least`; else QuivrepError."""
+    if isinstance(x, int) and x.__class__ is not bool and x >= least:
+        return x
+    raise QuivrepError(f"{what} must be an integer >= {least}, got {x!r}")

@@ -29,10 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from ._value import Value
+from ._value import Value, count, rational
 from .errors import (DecompositionMismatch, InequalityViolated, InvalidLabel,
                      QuivrepError, WrongDimension)
-from .linalg import hstack, parse_rational, rank, vstack
+from .linalg import MAX_CELLS, hstack, rank, vstack
 from .quiver import (BoundQuiver, DimVector, Quiver, Relation, euler_form,
                      expected_dim, minimal_convex, quiver_facts, tits_form, yes_no)
 from .rep import Representation, direct_sum, make_rep, simple_rep
@@ -46,10 +46,13 @@ class FamilyParams(Value):
     __slots__ = _fields = ("p", "q", "r", "s", "t")
 
     def __init__(self, p: int, q: int, r: int, s: int, t: int):
-        for name, value in zip(self._fields, (p, q, r, s, t)):
-            if not isinstance(value, int) or value < 1:
-                raise QuivrepError(f"arm length {name} must be an integer >= 1, got {value!r}")
-        super().__init__(p, q, r, s, t)
+        arms = [count(value, f"arm length {name}", 1)
+                for name, value in zip(self._fields, (p, q, r, s, t))]
+        n = sum(arms)
+        if (n + 5) * (n + 1) > MAX_CELLS:  # the H' (+) H'' intertwiner system
+            raise QuivrepError(f"arm lengths summing to {n} give a {n + 5} x {n + 1} "
+                               f"intertwiner system, more than the cap of {MAX_CELLS} cells")
+        super().__init__(*arms)
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r},{self.s},{self.t})"
@@ -203,17 +206,13 @@ class Family:
 
 
 def _normalize_label(label, arrow_names, side: str):
-    if isinstance(label, str):
-        if label in arrow_names:
-            return label
-        try:
-            return parse_rational(label)
-        except (ValueError, ZeroDivisionError):
-            raise InvalidLabel(
-                f"label {label!r} is neither a rational nor an {side} arrow") from None
-    if isinstance(label, (int, Fraction)):
-        return Fraction(label)
-    raise InvalidLabel(f"unsupported label {label!r}")
+    if label in arrow_names:
+        return label
+    try:
+        return rational(label)
+    except QuivrepError:
+        raise InvalidLabel(
+            f"label {label!r} is neither a rational nor an arrow of the {side}s") from None
 
 
 # -- grid verification -----------------------------------------------------

@@ -48,7 +48,7 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
-from ._value import Value
+from ._value import Value, count
 from .errors import QuivrepError
 from .linalg import (MAX_CELLS, MatrixQ, MatrixZ, image_basis, is_invertible, kernel_basis,
                      rank, seeded_rng)
@@ -318,10 +318,7 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
     [-entry_bound, entry_bound], so `entry_bound` must be at least 1, and
     `trials` must be at least 1.
     """
-    if trials < 1:
-        raise QuivrepError(f"trial count must be at least 1, got {trials}")
-    if entry_bound < 1:
-        raise QuivrepError(f"entry bound must be at least 1, got {entry_bound}")
+    trials, entry_bound = count(trials, "trial count", 1), count(entry_bound, "entry bound", 1)
     if m.quiver != n.quiver:
         raise QuivrepError("representations on different quivers")
     if m.dim != n.dim:

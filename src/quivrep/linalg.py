@@ -37,36 +37,12 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._value import Value, _set
+from ._value import Value, _set, count, rational
 from .errors import QuivrepError, ShapeMismatch
 
 # The most cells of a system, or entries of a kernel basis.  Eliminating a
 # system this size in pure Python already takes hours; no option lifts it.
 MAX_CELLS = 10**7
-
-
-def parse_rational(text: str) -> Fraction:
-    """An integer, ``p/q`` or decimal string as a Fraction.
-
-    Exponent notation is refused with ValueError before `Fraction` sees
-    it: ``Fraction('1e100000000')`` builds a hundred-million-digit integer.
-    """
-    if "e" in text or "E" in text:
-        raise ValueError(f"exponent notation is not read: {text!r}")
-    return Fraction(text)
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return parse_rational(x)
-        except (ValueError, ZeroDivisionError):
-            raise QuivrepError(f"cannot read {x!r} as an exact rational") from None
-    raise QuivrepError(f"cannot interpret {x!r} as an exact rational")
 
 
 class MatrixQ(Value):
@@ -93,7 +69,7 @@ class MatrixQ(Value):
         if not isinstance(rows, (list, tuple)) or not all(
                 isinstance(row, (list, tuple)) for row in rows):
             raise QuivrepError("matrix literal must be a list or tuple of list or tuple rows")
-        table = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
+        table = tuple(tuple(rational(x) for x in row) for row in rows)
         nrows = len(table)
         ncols = len(table[0]) if table else 0
         if any(len(row) != ncols for row in table):
@@ -145,7 +121,7 @@ class MatrixQ(Value):
         return MatrixQ(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.data))
 
     def scale(self, c) -> "MatrixQ":
-        c = _as_fraction(c)
+        c = rational(c)
         return MatrixQ(self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self.data))
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
@@ -470,16 +446,14 @@ def seeded_rng(*label) -> random.Random:
 
 def random_matrix(rows: int, cols: int, rng: random.Random, bound: int = 3) -> MatrixQ:
     """Uniform integer entries in [-bound, bound], as exact rationals."""
-    if bound < 1:
-        raise QuivrepError(f"entry bound must be at least 1, got {bound}")
+    rows, cols = count(rows, "row count", 0), count(cols, "column count", 0)
+    bound = count(bound, "entry bound", 1)
     return MatrixQ(rows, cols, tuple(
         tuple(Fraction(rng.randint(-bound, bound)) for _ in range(cols)) for _ in range(rows)))
 
 
 def random_invertible(n: int, rng: random.Random, bound: int = 3) -> MatrixQ:
     """A random invertible n x n integer matrix (retry sampling)."""
-    if n == 0:
-        return MatrixQ.zeros(0, 0)
     while True:
         m = random_matrix(n, n, rng, bound)
         if rank(m) == n:

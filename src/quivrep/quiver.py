@@ -15,11 +15,10 @@ Conventions, used consistently everywhere:
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from ._value import Value
+from ._value import Value, count, rational
 from .errors import MixedEndpoints, NonComposable, QuivrepError
 
 
@@ -130,7 +129,8 @@ class Path(Value):
 
 
 class Relation(Value):
-    """A linear combination of (Fraction, Path) `terms` with common endpoints."""
+    """A linear combination of (Fraction, Path) `terms` with common endpoints.
+    :meth:`of` takes int, Fraction and rational-string coefficients, not floats."""
 
     __slots__ = _fields = ("terms",)
 
@@ -144,7 +144,7 @@ class Relation(Value):
         """
         merged = {}  # arrow word -> (summed coefficient, first path)
         for coeff, path in terms:
-            coeff = Fraction(coeff)
+            coeff = rational(coeff)
             if coeff == 0:
                 raise QuivrepError("relation term with zero coefficient")
             if path.arrow_names in merged:
@@ -226,11 +226,7 @@ class DimVector(Value):
             entries = tuple(values)
             if len(entries) != len(quiver.vertices):
                 raise QuivrepError("dimension vector length != number of vertices")
-        if not all(isinstance(x, int) for x in entries):
-            raise QuivrepError(f"dimension vector entries must be integers, got {entries}")
-        if any(x < 0 for x in entries):
-            raise QuivrepError("dimension vector entries must be nonnegative")
-        return DimVector(quiver, entries)
+        return DimVector(quiver, tuple([count(x, "dimension vector entry", 0) for x in entries]))
 
     def __getitem__(self, vertex: str) -> int:
         return self.entries[self.quiver.vertex_index[vertex]]

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._value import rational
 from .errors import NonComposable, ParseError, QuivrepError
-from .linalg import MatrixQ, parse_rational
+from .linalg import MatrixQ
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
 from .rep import Representation, make_rep
 
@@ -44,8 +45,8 @@ def _content_lines(text: str):
 
 def _fraction(token: str, lineno: int) -> Fraction:
     try:
-        return parse_rational(token)
-    except (ValueError, ZeroDivisionError):
+        return rational(token)
+    except QuivrepError:
         raise ParseError(lineno, f"bad rational {token!r}") from None
 
 

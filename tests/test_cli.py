@@ -101,7 +101,7 @@ MALFORMED_DIMS = [
     ("z=1", "line 1: unknown vertex 'z'"),
     ("a=1,a=2", "line 1: duplicate vertex 'a'"),
     ("a=one", "line 1: bad integer 'one'"),
-    ("a=-1", "line 1: dimension vector entries must be nonnegative"),
+    ("a=-1", "line 1: dimension vector entry must be an integer >= 0, got -1"),
 ]
 
 
@@ -261,11 +261,25 @@ def test_validate_refuses_a_file_that_is_not_utf8_with_exit_2(tmp_path, bad):
 
 
 def test_family_on_a_long_arm_returns(tmp_path):
+    # The H' (+) H'' intertwiner system has (n + 5) x (n + 1) cells for n
+    # arrows: n = 3159 is the longest family under the cap of 10**7 cells.
+    proc = _cli_child("family", "--p", "3155", "--q", "1", "--r", "1", "--s", "1", "--t", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "vertices=3157 arrows=3159" in proc.stdout
+    for p, cells in (("3156", "3165 x 3161"), ("100000", "100009 x 100005")):
+        proc = _cli_child("family", "--p", p, "--q", "1", "--r", "1", "--s", "1", "--t", "1")
+        assert (proc.returncode, proc.stdout) == (2, ""), p
+        assert f"give a {cells} intertwiner system, more than the cap" in proc.stderr
     # 100,002 vertices: checking each arrow's endpoints against the vertex
     # tuple made building the quiver quadratic.
-    proc = _cli_child("family", "--p", "100000", "--q", "1", "--r", "1", "--s", "1", "--t", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert "vertices=100002 arrows=100004" in proc.stdout
+    script = ("from quivrep import Quiver\n"
+              "v = [f'v{i}' for i in range(100002)]\n"
+              "q = Quiver.build(v, [(f'a{i}', v[i + 1], v[i]) for i in range(100001)])\n"
+              "print(len(q.vertices), len(q.arrows))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "100002 100001\n", proc.stderr
 
 
 def test_a_cli_child_does_not_import_graphlib(tmp_path):
@@ -434,7 +448,7 @@ def test_iso_entry_bound_below_one_exits_2(tmp_path, capsys, bound):
                  "--entry-bound", bound]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: entry bound must be at least 1")
+    assert captured.err == f"error: entry bound must be an integer >= 1, got {bound}\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])
@@ -444,7 +458,7 @@ def test_iso_trials_below_one_exits_2(tmp_path, capsys, trials):
     assert main(["iso", "--quiver", q, "--rep", p, "--rep2", p, "--trials", trials]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: trial count must be at least 1")
+    assert captured.err == f"error: trial count must be an integer >= 1, got {trials}\n"
 
 
 def test_cancelling_relation_exits_2(tmp_path, capsys):

@@ -4,8 +4,10 @@ Each example writes a small quiver file and representation files (at most
 4 vertices, dimensions at most 2), picks a subcommand with generated flag
 values, runs ``quivrep.cli.main`` in process and checks that it returns 0,
 1 or 2 (or that argparse exits with 0 or 2) without raising, and that a
-call ending with 2 printed nothing to stdout.  Family arms stay at most 2
-and scalar lists short, so no call does unbounded work.
+call ending with 2 printed nothing to stdout.  Family arms stay at most 2,
+or are refused before anything is built (0, and 10**6, whose family would
+pass the cap on system cells), and scalar lists stay short, so no call
+does unbounded work.
 """
 
 import contextlib
@@ -62,7 +64,7 @@ def _scalar_list(draw):
 
 
 def _arms(draw):
-    lengths = st.sampled_from([1, 1, 2, 0])  # 0 is refused: arms have length >= 1
+    lengths = st.sampled_from([1, 1, 2, 0, 10**6])  # 0 and 10**6 are refused
     return [arg for name in "pqrst" for arg in (f"--{name}", str(draw(lengths)))]
 
 

@@ -112,6 +112,10 @@ def test_label_exclusions():
         fam.rep_h1("xi1")  # wrong side
     with pytest.raises(InvalidLabel):
         fam.rep_h2("alpha1")
+    # A bool is no scalar, and a float is a binary fraction.
+    for label in (True, 0.5):
+        with pytest.raises(InvalidLabel, match="neither a rational nor an arrow"):
+            fam.rep_h2(label)
     # A grid side may not list one label twice: equal rationals, or an arm arrow.
     with pytest.raises(InvalidLabel, match="^u label 2 appears twice on the grid$"):
         verify_family(fam.params, u_scalars=(2, "4/2"))

@@ -177,17 +177,17 @@ def test_iso_probable_verdicts():
     assert iso_probable(p, conjugate(p, g)) == "Isomorphic"
 
 
-@pytest.mark.parametrize("entry_bound", [0, -1])
+@pytest.mark.parametrize("entry_bound", [0, -1, 2.5, True])
 def test_iso_probable_refuses_entry_bound_below_one(entry_bound):
     p = make_rep(a2().quiver, (1, 1), {"al": [[1]]})
-    with pytest.raises(QuivrepError, match="entry bound must be at least 1"):
+    with pytest.raises(QuivrepError, match="entry bound must be an integer >= 1"):
         iso_probable(p, p, entry_bound=entry_bound)
 
 
-@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("trials", [0, -2, 2.5, True])
 def test_iso_probable_refuses_trials_below_one(trials):
     p = make_rep(a2().quiver, (1, 1), {"al": [[1]]})
-    with pytest.raises(QuivrepError, match="trial count must be at least 1"):
+    with pytest.raises(QuivrepError, match="trial count must be an integer >= 1"):
         iso_probable(p, p, trials=trials)
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 from random import Random
 
@@ -42,17 +43,27 @@ def test_ragged_literal_rejected():
         M([[1, 2], [3]])
 
 
-@pytest.mark.parametrize("entry", [1.5, "x", "1/0"], ids=str)
+@pytest.mark.parametrize("entry", [1.5, "x", "1/0", True, None, Decimal("0.1"), "1e5"], ids=str)
 def test_literal_entry_that_is_not_an_exact_rational_raises_quivrep_error(entry):
     # A float, an unreadable string and a zero denominator, not a bare
-    # TypeError, ValueError or ZeroDivisionError.
+    # TypeError, ValueError or ZeroDivisionError; a bool, None, a Decimal and
+    # exponent notation are no exact rationals either.  A scale factor alike.
     with pytest.raises(QuivrepError, match="exact rational"):
         M([[entry]])
+    with pytest.raises(QuivrepError, match="exact rational"):
+        M([[1]]).scale(entry)
 
 
 def test_random_matrix_refuses_an_entry_bound_below_one():
-    with pytest.raises(QuivrepError, match="entry bound must be at least 1"):
+    with pytest.raises(QuivrepError, match="entry bound must be an integer >= 1, got 0"):
         random_matrix(1, 1, Random(0), 0)
+    for bound in (2.5, True):
+        with pytest.raises(QuivrepError, match="entry bound must be an integer >= 1"):
+            random_matrix(1, 1, Random(0), bound)
+    # A negative size is refused, not sampled forever.
+    with pytest.raises(QuivrepError, match="row count must be an integer >= 0, got -1"):
+        random_invertible(-1, Random(0))
+    assert random_invertible(0, Random(0)) == MatrixQ.zeros(0, 0)
 
 
 def test_arithmetic():

@@ -65,6 +65,18 @@ def test_cli_process_loads_only_its_layers(tmp_path, argv, first_line):
     assert proc.stdout.startswith(first_line)
 
 
+def test_quiver_import_loads_only_the_value_gate_and_errors():
+    # The survey set-up builds its quivers from these modules alone, so the
+    # number gate must not pull linalg (or anything else) into it.
+    src = os.path.dirname(os.path.dirname(quivrep.__file__))
+    child = ("import sys, quivrep.quiver; print(sorted(m for m in sys.modules "
+             "if m == 'quivrep' or m.startswith('quivrep.')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['quivrep', 'quivrep._value', 'quivrep.errors', 'quivrep.quiver']\n"
+
+
 def test_every_export_is_defined_where_it_is_listed():
     # One public name per object: a module lists only what it defines.
     import importlib

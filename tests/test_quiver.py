@@ -1,4 +1,5 @@
 import graphlib
+from decimal import Decimal
 from fractions import Fraction as F
 from random import Random
 
@@ -60,12 +61,17 @@ def test_relation_validation():
         Relation.of([(F(0), full)])
     with pytest.raises(MixedEndpoints):
         Relation.of([(F(1), full), (F(1), q.path(["alpha"]))])
+    # 0.1 is a binary fraction, not 1/10; exponent notation, a Decimal and a
+    # bool are no exact rationals either.
+    for coeff in (0.1, "1e5", Decimal("0.1"), True):
+        with pytest.raises(QuivrepError, match="exact rational"):
+            Relation.of([(coeff, full)])
 
 
 def test_relation_merges_like_terms():
     q = kronecker()
     a1, a2 = q.path(["a1"]), q.path(["a2"])
-    rel = Relation.of([(2, a2), (F(1), a1), (F(1, 2), a2)])
+    rel = Relation.of([(2, a2), (F(1), a1), ("1/2", a2)])
     assert rel.terms == ((F(5, 2), a2), (F(1), a1))  # first-occurrence order
     rel = Relation.of([(1, a1), (3, a2), (2, a1), (-3, a2)])
     assert rel.terms == ((F(3), a1),)  # the cancelled a2 is dropped

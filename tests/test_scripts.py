@@ -35,13 +35,18 @@ def test_family_sweep_prints_its_pinned_report():
 
 
 def test_family_sweep_refuses_an_arm_length_below_one_as_a_usage_error():
-    argv = [sys.executable, os.path.join(ROOT, "scripts", "family_sweep.py"),
-            "--params", "0,1,1,1,1"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert "arm length p must be an integer >= 1, got 0" in proc.stderr
+    script = os.path.join(ROOT, "scripts", "family_sweep.py")
+    for args, message in [
+        (["--params", "0,1,1,1,1"], "arm length p must be an integer >= 1, got 0"),
+        (["--max-arm", "0"], "argument --max-arm: arm length p must be an integer >= 1, got 0"),
+        (["--max-arm", "-3"], "argument --max-arm: arm length p must be an integer >= 1, got -3"),
+    ]:
+        proc = subprocess.run([sys.executable, script, *args], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
 
 def test_regularity_survey_stdout_is_deterministic():

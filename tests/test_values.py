@@ -99,6 +99,9 @@ def test_repr_names_every_field_in_constructor_order():
     ((1, 1, 1, 1, 0), "arm length t"),
     ((2.5, 1, 1, 1, 1), "arm length p must be an integer"),
     (("2", 1, 1, 1, 1), "arm length p must be an integer"),
+    ((1, True, 1, 1, 1), "arm length q must be an integer >= 1, got True"),
+    # The H' (+) H'' intertwiner system would be 1000009 x 1000005.
+    ((10**6, 1, 1, 1, 1), "1000009 x 1000005 intertwiner system, more than the cap"),
 ], ids=str)
 def test_family_params_validation(arms, message):
     with pytest.raises(QuivrepError, match=message):
@@ -108,10 +111,13 @@ def test_family_params_validation(arms, message):
 def test_dimension_vector_refuses_a_non_integer_entry():
     # int() would truncate 1.9 to 1 and build a smaller point than asked for.
     q = _quiver()
-    with pytest.raises(QuivrepError, match="must be integers"):
+    with pytest.raises(QuivrepError, match="must be an integer"):
         DimVector.of(q, (1.9, 2, 0))
-    with pytest.raises(QuivrepError, match="must be integers"):
+    with pytest.raises(QuivrepError, match="must be an integer"):
         make_rep(q, {"a": 1.5, "b": 1})
+    # A bool is no dimension: (True, 1, 0) would print as a=True,b=1,c=0.
+    with pytest.raises(QuivrepError, match="entry must be an integer >= 0, got True"):
+        DimVector.of(q, (True, 1, 0))
 
 
 def _report():
