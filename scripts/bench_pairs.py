@@ -19,7 +19,9 @@ workload into the output file, so one file can hold several invocations.
 The ``source`` section holds, per side, the line count of ``src/quivrep``
 and each module's median ``compile()`` time: a fresh import under
 ``PYTHONDONTWRITEBYTECODE=1`` compiles every module it loads, so source
-size shows up in ``setup_s`` and in every ``cli`` child.
+size shows up in ``setup_s`` and in every ``cli`` child.  It also names
+the ``quivrep`` modules that ``python -S -c "import quivrep.cli"`` loads,
+which every ``cli`` child compiles, and the sum of their compile times.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -49,7 +51,8 @@ METHOD = ("Each side ran from its own copy of perfbench/, BENCHMARK.json and src
           "higher-is-better metrics so that positive means worse; within_bound = "
           "regression <= the metric's BENCHMARK.json bound. 'source' holds each side's "
           "src/quivrep line count and the median in-process compile() time of each module, "
-          "both sides alternating.")
+          "both sides alternating, and the quivrep modules a 'python -S -c \"import "
+          "quivrep.cli\"' child loads with the sum of their compile times.")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
@@ -66,9 +69,22 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
+CLI_IMPORT_PROBE = ("import sys, quivrep.cli; print(*sorted(m for m in sys.modules "
+                    "if m == 'quivrep' or m.startswith('quivrep.')))")
+
+
+def cli_import_modules(tree: Path) -> list:
+    """The quivrep modules a ``python -S -c "import quivrep.cli"`` child of `tree` loads."""
+    proc = subprocess.run([sys.executable, "-S", "-c", CLI_IMPORT_PROBE],
+                          env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout.split()
+
+
 def source_stats(trees: dict, repeats: int = 21) -> dict:
-    """Per side: the line count of src/quivrep and each module's median
-    compile() time in ms, the sides alternating within each repeat."""
+    """Per side: the line count of src/quivrep, each module's median
+    compile() time in ms, the sides alternating within each repeat, and
+    the modules that importing ``quivrep.cli`` loads with their total."""
     texts = {side: {path.name: path.read_text()
                     for path in sorted((tree / "src" / "quivrep").glob("*.py"))}
              for side, tree in trees.items()}
@@ -82,9 +98,14 @@ def source_stats(trees: dict, repeats: int = 21) -> dict:
     out = {}
     for side, files in texts.items():
         compile_ms = {name: r(statistics.median(ts) * 1e3) for name, ts in times[side].items()}
+        cli_modules = cli_import_modules(trees[side])
+        cli_files = ["__init__.py" if m == "quivrep" else m.removeprefix("quivrep.") + ".py"
+                     for m in cli_modules]
         out[side] = {"lines": sum(text.count("\n") for text in files.values()),
                      "compile_ms_total": r(sum(compile_ms.values())),
-                     "compile_ms": compile_ms}
+                     "compile_ms": compile_ms,
+                     "cli_import_modules": cli_modules,
+                     "cli_import_compile_ms": r(sum(compile_ms[name] for name in cli_files))}
     return out
 
 

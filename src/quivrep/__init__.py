@@ -26,9 +26,9 @@ _EXPORTS = {
     "homology": ("Basis", "ExtReport", "coboundary_space",
                  "cocycle_space", "ext1_dim", "ext_report", "hom_basis", "hom_dim",
                  "iso_probable", "orbit_dim"),
-    "geometry": ("RegularityCertificate", "StratumReport", "bisection_classify",
-                 "constrained_cocycles", "direct_sum_stratum_dim",
-                 "regularity_certificate"),
+    "geometry": ("StratumReport", "bisection_classify", "constrained_cocycles",
+                 "direct_sum_stratum_dim", "regularity_certificate"),
+    "certificate": ("RegularityCertificate",),
     "family": ("Family", "FamilyParams", "FamilyReport", "verify_family"),
     "textio": ("parse_dimvec", "parse_quiver", "parse_rep", "serialize_quiver",
                "serialize_rep"),

@@ -1,17 +1,22 @@
 """Command-line interface.
 
 Subcommands: validate, invariants, euler, certify, family, paper-verify,
-iso.  Exit codes: 0 on success (or a verified positive answer), 1 when a
-verification produced a negative/unproven answer, 2 on usage or parse
-errors.  Reports go to stdout, diagnostics to stderr; all output is
+iso, bisect.  Exit codes: 0 on success (or a verified positive answer), 1
+when a verification produced a negative/unproven answer, 2 on usage or
+parse errors.  Reports go to stdout, diagnostics to stderr; all output is
 deterministic for fixed inputs and seeds.  A handler's stdout is held
 back until it returns, so a call that exits 2 prints nothing to stdout.
 
-Each handler imports what it runs from ``family``, ``geometry`` and
-``homology`` when it is called, so a process loads only the layers of its
-subcommand.  ``validate`` and ``euler`` load none of them;
-``invariants`` and ``iso`` load ``homology``; ``certify`` and ``bisect`` load ``geometry``,
-which imports ``homology``; ``family`` and ``paper-verify`` load all three.
+A process loads only what its subcommand runs: ``main`` builds the
+subparser of the named subcommand alone, each handler imports what it
+runs from ``family``, ``geometry`` and ``homology`` when it is called, and
+``textio.parse_rep`` imports ``rep`` and ``linalg`` when a representation
+is read.  So ``euler`` loads none of these, and ``validate`` only ``rep``
+and ``linalg``, with ``--rep``.  The others load those two and add:
+``invariants`` and ``iso`` ``homology``; ``bisect`` ``geometry`` (which
+imports ``homology``); ``certify`` ``geometry`` and ``certificate`` (so
+``dataclasses``); ``family`` and ``paper-verify`` ``geometry`` and
+``family``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .errors import (DecompositionMismatch, InequalityViolated, ParseError,
                      QuivrepError)
 from .quiver import (classify_dimvector, euler_form, expected_dim, quiver_facts,
                      tits_form, yes_no)
-from .rep import Representation
 from .textio import (parse_dimvec, parse_quiver, parse_rep, serialize_quiver,
                      serialize_rep)
 
@@ -51,7 +55,7 @@ def _load_quiver(path: str):
     return parse_quiver(_read(path))
 
 
-def _load_rep(path: str, quiver) -> Representation:
+def _load_rep(path: str, quiver):
     return parse_rep(_read(path), quiver)
 
 
@@ -212,88 +216,86 @@ def _cmd_bisect(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_family_params(sub):
-    for name in ("p", "q", "r", "s", "t"):
-        sub.add_argument(f"--{name}", type=int, required=True,
-                         help=f"arm length {name} (>= 1)")
+_QUIVER = ("--quiver", {"required": True})
+_REP = ("--rep", {"required": True})
+_FAMILY_PARAMS = tuple((f"--{name}", {"type": int, "required": True,
+                                       "help": f"arm length {name} (>= 1)"})
+                       for name in "pqrst")
+
+# name -> (handler, help line, options), in the order `quivrep --help` lists
+# them; an option is a flag and the keywords of its `add_argument`.
+_SUBCOMMANDS = {
+    "validate": (_cmd_validate, "parse and summarize a quiver (and rep) file",
+                 (_QUIVER, ("--rep", {}))),
+    "invariants": (_cmd_invariants, "hom/ext/euler/orbit invariants", (
+        _QUIVER, _REP, ("--rep2", {}),
+        ("--assume-gldim2", {"action": "store_true",
+                             "help": "assert global dimension <= 2 so ext2 is computable"}))),
+    "euler": (_cmd_euler, "bilinear form values on dimension vectors", (
+        _QUIVER, ("--dim", {"required": True, "help": 'comma list, e.g. "a=1,b=2"'}),
+        ("--dim2", {}),
+        ("--assume-tame-quasitilted", {
+            "action": "store_true",
+            "help": "assert tame quasi-tilted so the form classifies"}))),
+    "certify": (_cmd_certify, "regularity certificate at a variety point",
+                (_QUIVER, _REP, ("--assume-gldim2", {"action": "store_true"}))),
+    "family": (_cmd_family, "build the arm family and emit files", (
+        *_FAMILY_PARAMS,
+        ("--emit-quiver", {"metavar": "PATH"}),
+        ("--emit-h1", {"nargs": 2, "metavar": ("LABEL", "PATH")}),
+        ("--emit-h2", {"nargs": 2, "metavar": ("LABEL", "PATH")}),
+        ("--emit-simple", {"metavar": "PATH"}))),
+    "paper-verify": (_cmd_paper_verify, "grid verification of the family's stratum geometry", (
+        *_FAMILY_PARAMS,
+        ("--u-scalars", {"metavar": "CSV",
+                         "help": "scalar labels for the a-side reps (default 2,3,7)"}),
+        ("--v-scalars", {"metavar": "CSV",
+                         "help": "scalar labels for the c-side reps (default 2,3,5)"}),
+        ("--seed", {"type": int, "default": 0,
+                    "help": "accepted and ignored: the grid makes no random draw"}),
+        ("--out", {"metavar": "PATH",
+                   "help": "also write a machine-readable key-value report"}))),
+    "iso": (_cmd_iso, "randomized isomorphism test with certificates", (
+        _QUIVER, _REP, ("--rep2", {"required": True}),
+        ("--trials", {"type": int, "default": 8}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--entry-bound", {"type": int, "default": 100}))),
+    "bisect": (_cmd_bisect, "torsion-pair placement of a module", (
+        _QUIVER, ("--rep", {"required": True, "help": "the tilting module T"}),
+        ("--rep2", {"required": True, "help": "the module to place"}))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `quivrep` parser; given a subcommand name, with only its subparser.
+
+    A process parses one subcommand, so building the other seven is waste.
+    The one-subparser parser prints byte for byte the help and the errors
+    that the full one prints for that subcommand: its subcommand metavar
+    names all eight, as the full parser's choices do.  The full parser
+    sets no metavar, so that its own errors name the argument ``command``.
+    """
+    one = command in _SUBCOMMANDS
     parser = argparse.ArgumentParser(
         prog="quivrep",
         description="Exact invariants of bound-quiver representations "
                     "and module varieties.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="parse and summarize a quiver (and rep) file")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--rep")
-    p.set_defaults(func=_cmd_validate)
-
-    p = subs.add_parser("invariants", help="hom/ext/euler/orbit invariants")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--rep2")
-    p.add_argument("--assume-gldim2", action="store_true",
-                   help="assert global dimension <= 2 so ext2 is computable")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = subs.add_parser("euler", help="bilinear form values on dimension vectors")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--dim", required=True, help='comma list, e.g. "a=1,b=2"')
-    p.add_argument("--dim2")
-    p.add_argument("--assume-tame-quasitilted", action="store_true",
-                   help="assert tame quasi-tilted so the form classifies")
-    p.set_defaults(func=_cmd_euler)
-
-    p = subs.add_parser("certify", help="regularity certificate at a variety point")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--assume-gldim2", action="store_true")
-    p.set_defaults(func=_cmd_certify)
-
-    p = subs.add_parser("family", help="build the arm family and emit files")
-    _add_family_params(p)
-    p.add_argument("--emit-quiver", metavar="PATH")
-    p.add_argument("--emit-h1", nargs=2, metavar=("LABEL", "PATH"))
-    p.add_argument("--emit-h2", nargs=2, metavar=("LABEL", "PATH"))
-    p.add_argument("--emit-simple", metavar="PATH")
-    p.set_defaults(func=_cmd_family)
-
-    p = subs.add_parser("paper-verify",
-                        help="grid verification of the family's stratum geometry")
-    _add_family_params(p)
-    p.add_argument("--u-scalars", metavar="CSV",
-                   help="scalar labels for the a-side reps (default 2,3,7)")
-    p.add_argument("--v-scalars", metavar="CSV",
-                   help="scalar labels for the c-side reps (default 2,3,5)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: the grid makes no random draw")
-    p.add_argument("--out", metavar="PATH",
-                   help="also write a machine-readable key-value report")
-    p.set_defaults(func=_cmd_paper_verify)
-
-    p = subs.add_parser("iso", help="randomized isomorphism test with certificates")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--rep2", required=True)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entry-bound", type=int, default=100)
-    p.set_defaults(func=_cmd_iso)
-
-    p = subs.add_parser("bisect", help="torsion-pair placement of a module")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--rep", required=True, help="the tilting module T")
-    p.add_argument("--rep2", required=True, help="the module to place")
-    p.set_defaults(func=_cmd_bisect)
-
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if one else None)
+    for name in [command] if one else _SUBCOMMANDS:
+        func, help_line, options = _SUBCOMMANDS[name]
+        p = subs.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):

@@ -26,51 +26,21 @@ naive dimension count of the variety:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from ._value import Value
 from .errors import NotAVarietyPoint
 from .linalg import EchelonBasis
-from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular, yes_no
+from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular
 from .rep import CocycleElement, Representation, middle_term
 from .homology import cocycle_space, coboundary_space, ext_report, hom_dim
 
-@dataclass(frozen=True)
-class RegularityCertificate:
-    """Outcome of the smooth-point check at one variety point.
 
-    The one dataclass among the package's value types: callers may derive
-    altered certificates with ``dataclasses.replace``.
-    """
-
-    dim_vector: DimVector
-    triangular: bool
-    gldim2_asserted: bool
-    end_dim: int
-    ext1_self: int
-    ext2_self: int | None
-    z_self_dim: int
-    expected: int
-    orbit_dim: int
-    verdict: str  # CertifiedRegular | BoundOnly | NotApplicable
-
-    def lines(self):
-        yield f"dim_vector = {self.dim_vector}"
-        yield f"triangular = {yes_no(self.triangular)}"
-        yield f"gldim2_asserted = {yes_no(self.gldim2_asserted)}"
-        yield f"end_dim = {self.end_dim}"
-        yield f"ext1_self = {self.ext1_self}"
-        yield f"ext2_self = {'unknown' if self.ext2_self is None else self.ext2_self}"
-        yield f"z_self_dim = {self.z_self_dim}"
-        yield f"expected_dim = {self.expected}"
-        yield f"orbit_dim = {self.orbit_dim}"
-        yield f"verdict = {self.verdict}"
-
-
-def regularity_certificate(m: Representation, bq: BoundQuiver,
-                           assert_gldim2: bool) -> RegularityCertificate:
+def regularity_certificate(m: Representation, bq: BoundQuiver, assert_gldim2: bool):
     """Certify that M is a smooth point of a full-dimensional component.
+
+    Returns a :class:`~quivrep.certificate.RegularityCertificate`, whose
+    module is imported here, on the first call, and not with ``geometry``.
 
     CertifiedRegular requires: triangular quiver, the caller's
     global-dimension flag and Ext^2(M, M) = 0 by the Euler formula.  That
@@ -82,6 +52,8 @@ def regularity_certificate(m: Representation, bq: BoundQuiver,
     """
     if not m.is_variety_point(bq):
         raise NotAVarietyPoint("certificate requested at a non-variety point")
+    from .certificate import RegularityCertificate
+
     triangular = is_triangular(bq.quiver)
     rep = ext_report(m, m, bq, assert_gldim2)
     expected = expected_dim(m.dim, bq)

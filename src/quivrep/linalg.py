@@ -78,11 +78,13 @@ class MatrixQ(Value):
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "MatrixQ":
+        rows, cols = count(rows, "row count", 0), count(cols, "column count", 0)
         zero = Fraction(0)
         return MatrixQ(rows, cols, tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
 
     @staticmethod
     def identity(n: int) -> "MatrixQ":
+        n = count(n, "matrix size", 0)
         return MatrixQ(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
 
     # -- basic queries -------------------------------------------------

@@ -31,9 +31,7 @@ from fractions import Fraction
 
 from ._value import rational
 from .errors import NonComposable, ParseError, QuivrepError
-from .linalg import MatrixQ
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
-from .rep import Representation, make_rep
 
 
 def _content_lines(text: str):
@@ -168,7 +166,15 @@ def serialize_quiver(bq: BoundQuiver) -> str:
 # -- representation files -------------------------------------------------
 
 
-def parse_rep(text: str, quiver: Quiver) -> Representation:
+def parse_rep(text: str, quiver: Quiver):
+    """A :class:`~quivrep.rep.Representation` of `quiver` read from `text`.
+
+    ``rep`` and ``linalg`` are imported here, on the first call, so that a
+    process that reads only quivers and dimension vectors never loads them.
+    """
+    from .linalg import MatrixQ
+    from .rep import make_rep
+
     dims = {}
     mats = {}
     mat_lines = []
@@ -221,7 +227,8 @@ def parse_rep(text: str, quiver: Quiver) -> Representation:
     return make_rep(quiver, dims, mats)
 
 
-def serialize_rep(m: Representation) -> str:
+def serialize_rep(m) -> str:
+    """The text of representation `m`, in the form `parse_rep` reads."""
     lines = []
     for v in m.quiver.vertices:
         lines.append(f"dim {_token(v, 'vertex')} {m.dim[v]}")

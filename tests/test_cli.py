@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from quivrep import parse_quiver, parse_rep
-from quivrep.cli import main
+from quivrep.cli import build_parser, main
 
 A2_TEXT = """\
 vertex v1
@@ -484,6 +484,51 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariants", "--quiver", "q.quiver"])  # missing --rep
     assert exc.value.code == 2
+
+
+# Each subcommand with its required options, file names that are never read.
+ARMS = ["--p", "1", "--q", "1", "--r", "1", "--s", "1", "--t", "1"]
+REQUIRED = {
+    "validate": ["--quiver", "q"],
+    "invariants": ["--quiver", "q", "--rep", "r"],
+    "euler": ["--quiver", "q", "--dim", "a=1"],
+    "certify": ["--quiver", "q", "--rep", "r"],
+    "family": ARMS,
+    "paper-verify": ARMS,
+    "iso": ["--quiver", "q", "--rep", "r", "--rep2", "r"],
+    "bisect": ["--quiver", "q", "--rep", "r", "--rep2", "r"],
+}
+
+
+def _exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(REQUIRED))
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, name):
+    # The help, a missing required option (the subparser's error) and a
+    # left-over argument (the top-level parser's error, whose usage line
+    # names every subcommand), through main and through build_parser(name).
+    cases = {"help": ([name, "--help"], 0, "usage: quivrep " + name),
+             "missing": ([name], 2, "the following arguments are required"),
+             "left-over": ([name, *REQUIRED[name], "extra"], 2, "unrecognized arguments: extra")}
+    for argv, code, text in cases.values():
+        full = _exit(capsys, build_parser().parse_args, argv)
+        assert full[0] == code and text in full[1] + full[2], full
+        assert _exit(capsys, build_parser(name).parse_args, argv) == full
+        assert _exit(capsys, main, argv) == full
+
+
+def test_help_names_every_subcommand(capsys):
+    code, out, _ = _exit(capsys, main, ["--help"])
+    assert code == 0
+    assert "{" + ",".join(REQUIRED) + "}" in out
+    for name in REQUIRED:
+        assert f"\n    {name} " in out, name
 
 
 def test_family_unwritable_emit_path_exits_2(tmp_path, capsys):

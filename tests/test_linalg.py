@@ -66,6 +66,28 @@ def test_random_matrix_refuses_an_entry_bound_below_one():
     assert random_invertible(0, Random(0)) == MatrixQ.zeros(0, 0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MatrixQ.zeros(-1, 2), "row count must be an integer >= 0, got -1"),
+    (lambda: MatrixQ.zeros(2, -3), "column count must be an integer >= 0, got -3"),
+    (lambda: MatrixQ.zeros(2.0, 1), "row count must be an integer >= 0, got 2.0"),
+    (lambda: MatrixQ.zeros(1, True), "column count must be an integer >= 0, got True"),
+    (lambda: MatrixQ.identity(True), "matrix size must be an integer >= 0, got True"),
+    (lambda: MatrixQ.identity(-1), "matrix size must be an integer >= 0, got -1"),
+    (lambda: MatrixQ.identity("2"), "matrix size must be an integer >= 0, got '2'"),
+], ids=["zeros-negative-rows", "zeros-negative-cols", "zeros-float", "zeros-bool",
+        "identity-bool", "identity-negative", "identity-str"])
+def test_zeros_and_identity_refuse_a_size_that_is_not_a_count(build, message):
+    # Not a shape-(-1, 2) matrix, a matrix with rows=True, or a bare TypeError.
+    with pytest.raises(QuivrepError, match=message):
+        build()
+
+
+def test_zeros_and_identity_accept_size_zero():
+    assert MatrixQ.zeros(0, 3).shape == (0, 3)
+    assert MatrixQ.identity(0) == MatrixQ.zeros(0, 0)
+    assert MatrixQ.identity(2) == M([[1, 0], [0, 1]])
+
+
 def test_arithmetic():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])

@@ -86,3 +86,57 @@ def test_every_export_is_defined_where_it_is_listed():
         assert not hasattr(sub, "__all__"), module  # _EXPORTS is the one list
         for name in names:
             assert getattr(sub, name).__module__ == f"quivrep.{module}", (module, name)
+
+
+def test_cli_import_loads_no_representation_layer():
+    # A representation is read only by parse_rep, which imports rep and linalg.
+    src = os.path.dirname(os.path.dirname(quivrep.__file__))
+    child = ("import sys, quivrep.cli; print(sorted(m for m in sys.modules "
+             "if m == 'quivrep' or m.startswith('quivrep.')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("['quivrep', 'quivrep._value', 'quivrep.cli', 'quivrep.errors', "
+                           "'quivrep.quiver', 'quivrep.textio']\n")
+
+
+WATCH_CHILD = """
+import sys
+import quivrep.cli as cli
+code = cli.main(sys.argv[1:])
+watched = ["quivrep.rep", "quivrep.linalg", "quivrep.certificate", "dataclasses", "inspect"]
+print(code, *[name for name in watched if name in sys.modules], file=sys.stderr)
+"""
+NO_REP = {"quivrep.rep", "quivrep.linalg"}
+NO_CERTIFICATE = {"quivrep.certificate", "dataclasses", "inspect"}
+ARMS = ["--p", "1", "--q", "1", "--r", "1", "--s", "1", "--t", "1"]
+
+
+@pytest.mark.parametrize("argv, want_code, absent, present", [
+    (["euler", "--quiver", "{dir}/a2.quiver", "--dim", "a=1,b=1"], 0, NO_REP, set()),
+    (["validate", "--quiver", "{dir}/broken.quiver"], 2, NO_REP, set()),
+    (["family", *ARMS, "--emit-quiver", "{dir}/f.quiver", "--emit-h1", "alpha1", "{dir}/h1.rep"],
+     0, NO_CERTIFICATE, set()),
+    (["bisect", "--quiver", "{dir}/a2.quiver", "--rep", "{dir}/s.rep", "--rep2", "{dir}/p.rep"],
+     0, NO_CERTIFICATE, set()),
+    (["paper-verify", *ARMS], 0, NO_CERTIFICATE, set()),
+    (["certify", "--quiver", "{dir}/a2.quiver", "--rep", "{dir}/p.rep", "--assume-gldim2"],
+     0, set(), {"quivrep.certificate", "dataclasses"}),
+], ids=["euler", "validate-malformed-quiver", "family-emit", "bisect", "paper-verify",
+        "certify"])
+def test_cli_process_loads_rep_and_certificate_only_when_it_uses_them(
+        tmp_path, argv, want_code, absent, present):
+    # -S keeps site-packages (and what their .pth files import) out of the child.
+    (tmp_path / "a2.quiver").write_text("vertex a\nvertex b\narrow x b a\n")
+    (tmp_path / "broken.quiver").write_text("vertex a\narrow x a b\n")
+    (tmp_path / "p.rep").write_text("dim a 1\ndim b 1\nmat x 1 1 : 1\n")
+    (tmp_path / "s.rep").write_text("dim a 1\n")
+    src = os.path.dirname(os.path.dirname(quivrep.__file__))
+    args = [arg.format(dir=tmp_path) for arg in argv]
+    proc = subprocess.run([sys.executable, "-S", "-c", WATCH_CHILD, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert int(code) == want_code, proc.stderr
+    assert absent.isdisjoint(loaded), loaded
+    assert present <= set(loaded), loaded

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -110,3 +112,9 @@ def test_bench_pairs_runs_one_survey_pair_and_writes_the_comparison(tmp_path):
         assert sorted(source["compile_ms"]) == modules
         assert all(ms > 0 for ms in source["compile_ms"].values())
         assert source["compile_ms_total"] > 0
+        assert source["cli_import_modules"] == ["quivrep", "quivrep._value", "quivrep.cli",
+                                                "quivrep.errors", "quivrep.quiver",
+                                                "quivrep.textio"]
+        cli_files = ("__init__.py", "_value.py", "cli.py", "errors.py", "quiver.py", "textio.py")
+        assert source["cli_import_compile_ms"] == pytest.approx(
+            sum(source["compile_ms"][name] for name in cli_files), abs=1e-4)
