@@ -3,11 +3,11 @@
 All spaces are cut out by linear systems over the rationals:
 
 * ``Hom(V, U)`` and ``B(V, U)`` are the kernel and the image of one
-  system, :func:`intertwiner_matrix`: it sends a vertex family h to the
+  system, :func:`intertwiner_rows`: it sends a vertex family h to the
   arrow family ``U_a h_source - h_target V_a``.  Its kernel is Hom(V, U)
   and its image the coboundaries, so hom = cols - rank and dim B = rank.
 * ``Z(V, U)`` (cocycles describing extensions ``0 -> U -> W -> V -> 0``)
-  is the kernel of the twisted relation system :func:`cocycle_system`.
+  is the kernel of the twisted relation system :func:`cocycle_rows`.
 * ``ext1 = dim Z - dim B``, and ``<dim V, dim U> - hom + ext1`` equals
   rows - rank of the cocycle system, the dimension of its cokernel; over
   an algebra of global dimension at most two that is ``ext2`` by the
@@ -25,10 +25,13 @@ of the representations (``Representation.integer_form``, scale d_M for M):
   d_U^(L-1) * d_V^(L-1) * lcm(coefficient denominators), L the longest
   path of the relation, as :func:`_twisted_slots` sets out.
 
-Ranks (:func:`hom_dim`, :func:`ext_report`) eliminate those rows as they
-are and build no Fraction.  :func:`intertwiner_matrix` and
-:func:`cocycle_system` divide the same rows by their scales into the
-exact `MatrixQ`, for kernels and images.  Each nonzero coefficient of a
+Ranks (:func:`hom_dim`, :func:`ext_report`) and kernels
+(:func:`hom_basis`, :func:`cocycle_space`) eliminate those rows as they
+are: scaling a row changes neither a rank nor a kernel.  It does change
+the column space, so :func:`coboundary_space` takes the image of
+:func:`intertwiner_matrix`, the same rows divided by their scales into
+the exact `MatrixQ`; :func:`cocycle_system` does the same for the
+cocycle rows, for the tests and the tracer.  Each nonzero coefficient of a
 row is stored at its own unknown: the result is the row-major Kronecker
 form vec(A X B) = kron(A, B^T) vec(X) of each block, entry for entry,
 without forming the mostly-zero products with identity matrices.
@@ -51,7 +54,7 @@ from operator import mul
 from ._value import Value, count
 from .errors import QuivrepError
 from .linalg import (MAX_CELLS, MatrixQ, MatrixZ, image_basis, is_invertible, kernel_basis,
-                     rank, seeded_rng)
+                     rank, seeded_rng, unflatten)
 from .quiver import BoundQuiver, Relation, euler_form
 from .rep import CocycleElement, Representation, _times
 
@@ -103,7 +106,7 @@ def intertwiner_rows(m: Representation, n: Representation) -> MatrixZ:
 
 
 def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
-    """The exact matrix of :func:`intertwiner_rows`."""
+    """The exact matrix of :func:`intertwiner_rows`, whose image is B(M, N)."""
     return intertwiner_rows(m, n).to_q()
 
 
@@ -119,19 +122,10 @@ class Basis(Value):
 
 def hom_basis(m: Representation, n: Representation) -> Basis:
     """Basis of Hom(M, N): one dict vertex -> MatrixQ per kernel vector."""
-    system = intertwiner_matrix(m, n)
-    quiver = m.quiver
-    elements = []
-    for vec in kernel_basis(system):
-        fam = {}
-        pos = 0
-        for v in quiver.vertices:
-            r, c = n.dim[v], m.dim[v]
-            rows = tuple(tuple(vec[pos + i * c: pos + (i + 1) * c]) for i in range(r))
-            fam[v] = MatrixQ(r, c, rows)
-            pos += r * c
-        elements.append(fam)
-    return Basis(tuple(elements))
+    vertices = m.quiver.vertices
+    shapes = list(zip(n.dim.entries, m.dim.entries))
+    return Basis(tuple(dict(zip(vertices, unflatten(vec, shapes)))
+                       for vec in kernel_basis(intertwiner_rows(m, n))))
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -235,17 +229,18 @@ def cocycle_rows(v: Representation, u: Representation, bq: BoundQuiver) -> Matri
 
 
 def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> MatrixQ:
-    """The exact matrix of :func:`cocycle_rows`."""
+    """The exact matrix of :func:`cocycle_rows`, read only outside the package:
+    by ``tests/test_homology_oracle.py``, ``tests/test_homology.py``,
+    ``tests/util.py::exact_constrained_dim`` and ``perfbench/tracing.py``."""
     return cocycle_rows(v, u, bq).to_q()
 
 
 def cocycle_space(v: Representation, u: Representation, bq: BoundQuiver) -> Basis:
-    """Basis of Z(V, U), the cocycles for extensions of V by U: ker cocycle_system."""
-    system = cocycle_system(v, u, bq)
+    """Basis of Z(V, U), the cocycles for extensions of V by U: ker cocycle_rows."""
     quiver = bq.quiver
     elements = tuple(
         CocycleElement.from_flat(quiver, u.dim, v.dim, vec)
-        for vec in kernel_basis(system))
+        for vec in kernel_basis(cocycle_rows(v, u, bq)))
     return Basis(elements)
 
 

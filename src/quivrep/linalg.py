@@ -3,25 +3,26 @@
 All computations in this package reduce to ranks and kernels of small
 rational matrices.  A `MatrixQ` holds `fractions.Fraction` entries; a
 `MatrixZ` holds the same kind of matrix as integer rows, each with the
-positive scale it was multiplied by.  The systems of
-:mod:`quivrep.homology` are written as `MatrixZ`, so that taking their
-rank builds no Fraction.  One elimination core, `_echelon`, serves them
-all.  It eliminates with exact Python ints, in fraction-free row
-operations: a `MatrixZ` row enters as it is, and `_integer_rows` scales
-each row of a `MatrixQ` to integers by the lcm of its denominators.  Each
-new row is divided by the gcd of its entries, which this core uses in
-place of Bareiss's exact division by the previous pivot.  `rank` stops
-after forward elimination and builds no Fraction; `rref` divides only the
-final pivot rows back into Fractions.  The reduced row echelon form is
-unique, so this gives exactly the values of a Fraction Gauss-Jordan
-elimination, without its per-entry gcds.  `rank` takes the short side:
-a system with more nonzero rows than columns is eliminated as its
-transpose (rank A = rank A^T).  `EchelonBasis` keeps a span that grows
-one vector at a time as integer rows, and tests a vector for membership
-by reducing it with `_echelon`'s row step.  :func:`kernel_basis` refuses
-a basis of more than :data:`MAX_CELLS` entries.  Matrices are immutable;
-zero-by-n and n-by-zero shapes are first-class citizens because
-representations routinely carry them at unsupported vertices.
+positive scale it was multiplied by, as the systems of
+:mod:`quivrep.homology` are written.  One elimination core serves them
+all, on exact Python ints.  Its one way in, `_rows`, takes a `MatrixZ`
+row as it is and scales a `MatrixQ` row by the lcm of its denominators;
+scaling a row changes neither the kernel nor the reduced row echelon
+form, so `rank`, `rref` and `kernel_basis` take either type.  Its one
+row step, `_clear`, is fraction-free and divides each new row by the gcd
+of its entries, in place of Bareiss's exact division by the previous
+pivot.  `rank` stops after forward elimination and builds no Fraction;
+`rref` divides only the final pivot rows back into Fractions, which
+gives exactly the unique RREF of a Fraction Gauss-Jordan elimination.
+`rank` takes the short side: a system with more nonzero rows than
+columns is eliminated as its transpose (rank A = rank A^T).
+`image_basis` takes a `MatrixQ` only, as scaling rows changes the
+column space.  `EchelonBasis` keeps a growing span as integer rows and
+tests membership by reducing a vector with `_clear`.
+:func:`kernel_basis` refuses a basis of more than :data:`MAX_CELLS`
+entries.  Matrices are immutable; zero-by-n and n-by-zero shapes are
+first-class citizens because representations routinely carry them at
+unsupported vertices.
 
 Randomness: every random draw goes through :func:`seeded_rng`, which seeds
 the standard Mersenne Twister (`random.Random`) with the SHA-512 digest of
@@ -119,9 +120,6 @@ class MatrixQ(Value):
         return MatrixQ(self.rows, self.cols, tuple(
             tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)))
 
-    def __neg__(self) -> "MatrixQ":
-        return MatrixQ(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.data))
-
     def scale(self, c) -> "MatrixQ":
         c = rational(c)
         return MatrixQ(self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self.data))
@@ -155,8 +153,8 @@ class MatrixZ(Value):
     """A rows x cols rational matrix as integer rows: row i is data[i] / scales[i].
 
     `data` is a tuple of int row tuples and every scale is a positive int.
-    Scaling a row changes neither its span nor its rank, so :func:`rank`
-    eliminates the integer rows as they are.
+    Scaling a row changes neither the kernel nor the RREF, so the
+    elimination core takes the integer rows as they are.
     """
 
     __slots__ = _fields = ("rows", "cols", "data", "scales")
@@ -172,6 +170,22 @@ class MatrixZ(Value):
         return MatrixQ(self.rows, self.cols, tuple(
             tuple(Fraction(x, s) if x else _ZERO for x in row)
             for row, s in zip(self.data, self.scales)))
+
+
+def unflatten(coords: Sequence, shapes: Iterable[tuple]) -> list:
+    """Row-major flat coordinates as one MatrixQ per (rows, cols) shape, in
+    order; ShapeMismatch unless the shapes take up all of `coords`."""
+    mats = []
+    pos = 0
+    for r, c in shapes:
+        rows = []
+        for _ in range(r):
+            rows.append(tuple(coords[pos:pos + c]))
+            pos += c
+        mats.append(MatrixQ(r, c, tuple(rows)))
+    if pos != len(coords):
+        raise ShapeMismatch("flat coordinate vector has wrong length")
+    return mats
 
 
 def hstack(blocks: Sequence[MatrixQ]) -> MatrixQ:
@@ -234,16 +248,40 @@ def _integer_rows(data) -> list:
     return rows
 
 
+def _rows(m: MatrixQ | MatrixZ) -> list:
+    """The nonzero rows of m as integers: a MatrixZ's as written, a
+    MatrixQ's scaled by :func:`_integer_rows`."""
+    if isinstance(m, MatrixZ):
+        return [row for row in m.data if any(row)]
+    return _integer_rows(m.data)
+
+
+def _clear(row: list, pivot_row: list, c: int) -> list:
+    """The one row step: clear the nonzero a = row[c] against p = pivot_row[c].
+
+    The row becomes row - (a/p)*pivot_row when p divides a, and otherwise
+    (p/g)*row - (a/g)*pivot_row with g = gcd(p, a), divided by the gcd of
+    its entries.
+    """
+    a, p = row[c], pivot_row[c]
+    if a % p == 0:
+        f = a // p
+        return [x - f * y for x, y in zip(row, pivot_row)]
+    g = gcd(a, p)
+    s, f = p // g, a // g
+    row = [s * x - f * y for x, y in zip(row, pivot_row)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _echelon(rows: list, ncols: int, reduce: bool) -> list:
     """Fraction-free elimination of integer rows in place; returns the pivot columns.
 
     Row r ends with its pivot in column pivots[r].  Each step clears the
-    pivot column from the rows below it, and with `reduce` also from the
-    rows above it (Gauss-Jordan, for `rref`).  To clear entry a against
-    pivot p, a row becomes row - (a/p)*pivot_row when p divides a, and
-    otherwise (p/g)*row - (a/g)*pivot_row with g = gcd(p, a), divided by
-    the gcd of its entries.  The pivot of least magnitude is taken: in the
-    0/+-1 systems of the family grids it is almost always +-1.
+    pivot column, with :func:`_clear`, from the rows below it, and with
+    `reduce` also from the rows above it (Gauss-Jordan, for `rref`).  The
+    pivot of least magnitude is taken: in the 0/+-1 systems of the family
+    grids it is almost always +-1.
     """
     nrows = len(rows)
     pivots = []
@@ -262,21 +300,9 @@ def _echelon(rows: list, ncols: int, reduce: bool) -> list:
             continue
         rows[r], rows[best] = rows[best], rows[r]
         pivot_row = rows[r]
-        p = pivot_row[c]
         for i in range(0 if reduce else r + 1, nrows):
-            row = rows[i]
-            a = row[c]
-            if not a or i == r:
-                continue
-            if a % p == 0:
-                f = a // p
-                rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
-                continue
-            g = gcd(a, p)
-            s, f = p // g, a // g
-            row = [s * x - f * y for x, y in zip(row, pivot_row)]
-            g = gcd(*row)
-            rows[i] = [x // g for x in row] if g > 1 else row
+            if rows[i][c] and i != r:
+                rows[i] = _clear(rows[i], pivot_row, c)
         pivots.append(c)
         r += 1
     return pivots
@@ -287,7 +313,7 @@ class EchelonBasis:
 
     Row k is nonzero at column pivots[k] and zero at the pivot columns of
     the rows kept before it.  :meth:`reduce` clears the pivot columns of a
-    vector in the order the rows were kept, with `_echelon`'s row step;
+    vector in the order the rows were kept, with :func:`_clear`;
     clearing column pivots[k] leaves the earlier pivot columns clear,
     since row k is zero there.  A nonzero combination of the rows is
     nonzero at the pivot of its first row with a nonzero coefficient, as
@@ -311,20 +337,8 @@ class EchelonBasis:
             return None
         row = scaled[0]
         for c, pivot_row in zip(self.pivots, self.rows):
-            a = row[c]
-            if not a:
-                continue
-            p = pivot_row[c]
-            if a % p == 0:
-                f = a // p
-                row = [x - f * y for x, y in zip(row, pivot_row)]
-                continue
-            g = gcd(a, p)
-            s, f = p // g, a // g
-            row = [s * x - f * y for x, y in zip(row, pivot_row)]
-            g = gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
+            if row[c]:
+                row = _clear(row, pivot_row, c)
         return row if any(row) else None
 
     def add(self, row: list) -> None:
@@ -334,13 +348,14 @@ class EchelonBasis:
         self.rows.append([x // g for x in row] if g > 1 else row)
 
 
-def rref(m: MatrixQ):
+def rref(m: MatrixQ | MatrixZ):
     """Reduced row echelon form together with the pivot column list.
 
     The elimination runs on integers; only the final pivot rows, divided by
-    their pivots, become Fractions.
+    their pivots, become Fractions.  Scaling a row changes no RREF, so a
+    MatrixZ is eliminated as written.
     """
-    rows = _integer_rows(m.data)
+    rows = _rows(m)
     pivots = _echelon(rows, m.cols, reduce=True)
     out = [tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
            for row, c in zip(rows, pivots)]
@@ -352,17 +367,14 @@ def rref(m: MatrixQ):
 def rank(m: MatrixQ | MatrixZ) -> int:
     """Number of pivots after forward elimination on integers, along the
     short side: with more nonzero rows than columns, of the nonzero columns."""
-    if isinstance(m, MatrixZ):
-        rows = [row for row in m.data if any(row)]
-    else:
-        rows = _integer_rows(m.data)
+    rows = _rows(m)
     if len(rows) > m.cols:
         cols = [col for col in zip(*rows) if any(col)]
         return len(_echelon(cols, len(rows), reduce=False))
     return len(_echelon(rows, m.cols, reduce=False))
 
 
-def kernel_basis(m: MatrixQ):
+def kernel_basis(m: MatrixQ | MatrixZ):
     """Basis of the right null space {v : m v = 0}, as row vectors.
 
     One basis vector per free column, with a 1 in the free position; this
@@ -388,7 +400,11 @@ def kernel_basis(m: MatrixQ):
 
 def image_basis(m: MatrixQ):
     """Basis of the column space, as row vectors of length m.rows.  The
-    transpose is a zip of the rows, so a matrix without rows has none."""
+    transpose is a zip of the rows, so a matrix without rows has none.
+
+    Only a MatrixQ: the columns of a MatrixZ's integer rows span another
+    space unless every row has the same scale.
+    """
     cols = tuple(zip(*m.data))
     reduced, _ = rref(MatrixQ(len(cols), m.rows, cols))
     return [row for row in reduced.data if any(row)]

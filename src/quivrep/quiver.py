@@ -177,12 +177,6 @@ class Relation(Value):
     def is_admissible(self) -> bool:
         return all(path.length >= 2 for _, path in self.terms)
 
-    def __str__(self) -> str:
-        parts = []
-        for coeff, path in self.terms:
-            parts.append(f"{coeff}*{path}")
-        return " + ".join(parts)
-
 
 class BoundQuiver(Value):
     """A quiver together with a finite set of relations on it."""

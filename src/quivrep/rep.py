@@ -33,7 +33,7 @@ from operator import mul
 
 from ._value import Value, _set
 from .errors import QuivrepError, ShapeMismatch
-from .linalg import MAX_CELLS, MatrixQ, inverse
+from .linalg import MAX_CELLS, MatrixQ, inverse, unflatten
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
 
 
@@ -189,18 +189,9 @@ class CocycleElement(Value):
     @staticmethod
     def from_flat(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector,
                   coords: Sequence[Fraction]) -> "CocycleElement":
-        mats = []
-        pos = 0
-        for arrow in quiver.arrows:
-            r, c = sub_dim[arrow.target], quot_dim[arrow.source]
-            rows = []
-            for i in range(r):
-                rows.append(tuple(coords[pos + i * c: pos + (i + 1) * c]))
-            pos += r * c
-            mats.append(MatrixQ(r, c, tuple(rows)))
-        if pos != len(coords):
-            raise ShapeMismatch("flat coordinate vector has wrong length")
-        return CocycleElement(quiver, sub_dim, quot_dim, tuple(mats))
+        """The inverse of :meth:`flatten`; ShapeMismatch on a wrong length."""
+        shapes = [(sub_dim[arrow.target], quot_dim[arrow.source]) for arrow in quiver.arrows]
+        return CocycleElement(quiver, sub_dim, quot_dim, tuple(unflatten(coords, shapes)))
 
 
 def cocycle_ambient_dim(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector) -> int:

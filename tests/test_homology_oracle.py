@@ -7,6 +7,9 @@ row, kept verbatim with their `_add_block` helper and the Fraction
 Kronecker products with identity matrices.  They live here as oracles
 only: every system the package builds must equal theirs entry for entry,
 so ranks, kernels, images and every report built on them are unchanged.
+`hom_basis` and `cocycle_space` take their kernels of the integer rows as
+written; the kernels of the exact matrices, split into blocks by the loop
+they used before, are their oracle.
 """
 
 from fractions import Fraction
@@ -14,11 +17,11 @@ from random import Random
 
 import pytest
 
-from quivrep import (BoundQuiver, ExtReport, Quiver, euler_form, ext_report, hom_dim,
-                     make_rep, rank)
+from quivrep import (BoundQuiver, ExtReport, Quiver, cocycle_space, euler_form, ext_report,
+                     hom_basis, hom_dim, make_rep, rank)
 from quivrep.errors import QuivrepError
 from quivrep.homology import cocycle_rows, cocycle_system, intertwiner_matrix
-from quivrep.linalg import MatrixQ, kron, vstack
+from quivrep.linalg import MatrixQ, MatrixZ, kernel_basis, kron, vstack
 from util import (hitting_set_point, random_bound_quiver, random_dims, random_quiver_with_cycles,
                   random_relations, random_rep, random_variety_pair, with_rational_coefficients,
                   with_rational_entries)
@@ -224,3 +227,55 @@ def test_ext_report_on_integral_points_builds_no_fraction(monkeypatch):
     # The patch does see Fractions: the exact matrices build them.
     intertwiner_matrix(*cases[0][:2])
     assert built
+
+
+def _oracle_split(vec, shapes) -> tuple:
+    """vec as row-major blocks of the given shapes, by the loop that
+    `hom_basis` and `CocycleElement.from_flat` each kept before."""
+    mats, pos = [], 0
+    for r, c in shapes:
+        mats.append(MatrixQ(r, c, tuple(tuple(vec[pos + i * c: pos + (i + 1) * c])
+                                        for i in range(r))))
+        pos += r * c
+    assert pos == len(vec)
+    return tuple(mats)
+
+
+def test_bases_of_the_integer_rows_match_the_exact_kernels(monkeypatch):
+    """hom_basis and cocycle_space eliminate the integer rows as written,
+    without building the exact matrices; their bases equal those split from
+    the kernels of intertwiner_matrix and cocycle_system, on entries and
+    relation coefficients with denominators, in both orders and on (u, u)."""
+    rng = Random(2601)
+    cases = []
+    for _ in range(120):
+        bq = random_bound_quiver(rng, max_relations=3)
+        while not bq.relations:
+            bq = random_bound_quiver(rng, max_relations=3)
+        bq = with_rational_coefficients(bq, rng)
+        u, v = random_variety_pair(rng, bq)
+        u, v = with_rational_entries(u, rng), with_rational_entries(v, rng)
+        cases.extend(((u, v, bq), (v, u, bq), (u, u, bq)))
+    want = []
+    for a, b, bq in cases:
+        arrow_shapes = [(b.dim[x.target], a.dim[x.source]) for x in bq.quiver.arrows]
+        vertex_shapes = [(b.dim[x], a.dim[x]) for x in bq.quiver.vertices]
+        want.append((
+            [dict(zip(bq.quiver.vertices, _oracle_split(vec, vertex_shapes)))
+             for vec in kernel_basis(intertwiner_matrix(a, b))],
+            [_oracle_split(vec, arrow_shapes) for vec in kernel_basis(cocycle_system(a, b, bq))]))
+
+    def refused(*args):
+        raise AssertionError("built an exact system")
+
+    monkeypatch.setattr(MatrixZ, "to_q", refused)
+    homs = cocycles = scaled = unequal_scales = 0
+    for (a, b, bq), (want_hom, want_z) in zip(cases, want):
+        assert list(hom_basis(a, b).elements) == want_hom
+        assert [z.matrices for z in cocycle_space(a, b, bq).elements] == want_z
+        homs += bool(want_hom)
+        cocycles += bool(want_z)
+        scales = cocycle_rows(a, b, bq).scales
+        scaled += any(s > 1 for s in scales)
+        unequal_scales += len(set(scales)) > 1
+    assert homs > 250 and cocycles > 250 and scaled > 150 and unequal_scales > 80

@@ -9,7 +9,10 @@ values under both cores.  The derived functions are run
 once as they are and once with `linalg.rref` swapped for the oracle's.
 `rank` eliminates a tall system as its transpose, so it is also checked on
 tall, wide and row-less matrices, as `MatrixQ` and as `MatrixZ`, against
-the oracle and against the rank of the transpose.  `EchelonBasis` is
+the oracle and against the rank of the transpose.  `rref` and
+`kernel_basis` take a `MatrixZ`'s rows as written, so they are checked on
+`as_matrix_z(m)`, whose rows have unequal scales, against the oracle's
+values for m.  `EchelonBasis` is
 checked against the rank-based `in_span` on streams of vectors.
 `MatrixQ.__add__`, which passes an entry through when the other is zero,
 is checked against the entrywise `Fraction` sum, and `middle_term`, which
@@ -150,6 +153,8 @@ def test_rank_and_rref_match_oracle(m):
     assert pivots == want_pivots
     assert reduced == want
     assert all(isinstance(x, Fraction) for x in reduced.entries())
+    # Integer rows of unequal scales are eliminated as written, to the same RREF.
+    assert rref(as_matrix_z(m)) == (want, want_pivots)
 
 
 def as_matrix_z(m: MatrixQ) -> MatrixZ:
@@ -183,6 +188,7 @@ def test_rank_of_systems_without_rows_or_columns():
 def test_derived_functions_match_oracle(m):
     new, old = both(kernel_basis, m)
     assert new == old
+    assert kernel_basis(as_matrix_z(m)) == old
     new, old = both(image_basis, m)
     assert new == old
 
