@@ -82,28 +82,26 @@ def _cmd_invariants(args) -> int:
     m = _load_rep(args.rep, bq.quiver)
     print(f"quiver: {_quiver_summary(bq)}")
     print(f"rep M: dim {m.dim} variety_point={yes_no(m.is_variety_point(bq))}")
+    n, pair = m, "M,M"
     if args.rep2:
-        n = _load_rep(args.rep2, bq.quiver)
+        n, pair = _load_rep(args.rep2, bq.quiver), "M,N"
         print(f"rep N: dim {n.dim} variety_point={yes_no(n.is_variety_point(bq))}")
-        rep = ext_report(m, n, bq, assert_gldim2=args.assume_gldim2)
+    rep = ext_report(m, n, bq, assert_gldim2=args.assume_gldim2)
+    if args.rep2:
         print(f"hom(M,N) = {rep.hom}")
-        print(f"z(M,N) = {rep.z_dim}")
-        print(f"b(M,N) = {rep.b_dim}")
-        print(f"ext1(M,N) = {rep.ext1}")
-        print(f"euler(dimM,dimN) = {rep.euler}")
-        ext2 = "unknown (pass --assume-gldim2)" if rep.ext2 is None else rep.ext2
-        print(f"ext2(M,N) = {ext2}")
     else:
-        rep = ext_report(m, m, bq, assert_gldim2=args.assume_gldim2)
         print(f"end(M) = {rep.hom}")
         print(f"orbit_dim(M) = {m.dim.glsum() - rep.hom}")
-        print(f"z(M,M) = {rep.z_dim}")
-        print(f"b(M,M) = {rep.b_dim}")
-        print(f"ext1(M,M) = {rep.ext1}")
+    print(f"z({pair}) = {rep.z_dim}")
+    print(f"b({pair}) = {rep.b_dim}")
+    print(f"ext1({pair}) = {rep.ext1}")
+    if args.rep2:
+        print(f"euler(dimM,dimN) = {rep.euler}")
+    else:
         print(f"tits(dim M) = {tits_form(m.dim, bq)}")
         print(f"expected_dim(dim M) = {expected_dim(m.dim, bq)}")
-        ext2 = "unknown (pass --assume-gldim2)" if rep.ext2 is None else rep.ext2
-        print(f"ext2(M,M) = {ext2}")
+    ext2 = "unknown (pass --assume-gldim2)" if rep.ext2 is None else rep.ext2
+    print(f"ext2({pair}) = {ext2}")
     return 0
 
 

@@ -25,16 +25,15 @@ of the representations (``Representation.integer_form``, scale d_M for M):
   d_U^(L-1) * d_V^(L-1) * lcm(coefficient denominators), L the longest
   path of the relation, as :func:`_twisted_slots` sets out.
 
-Ranks (:func:`hom_dim`, :func:`ext_report`) and kernels
-(:func:`hom_basis`, :func:`cocycle_space`) eliminate those rows as they
-are: scaling a row changes neither a rank nor a kernel.  It does change
-the column space, so :func:`coboundary_space` takes the image of
-:func:`intertwiner_matrix`, the same rows divided by their scales into
-the exact `MatrixQ`; :func:`cocycle_system` does the same for the
-cocycle rows, for the tests and the tracer.  Each nonzero coefficient of a
-row is stored at its own unknown: the result is the row-major Kronecker
-form vec(A X B) = kron(A, B^T) vec(X) of each block, entry for entry,
-without forming the mostly-zero products with identity matrices.
+Ranks (:func:`hom_dim`, :func:`ext_report`), kernels (:func:`hom_basis`,
+:func:`cocycle_space`) and the image (:func:`coboundary_space`) read those
+rows as they are; `linalg.image_basis` brings them to one scale first.
+:func:`intertwiner_matrix` and :func:`cocycle_system` divide the rows by
+their scales into the exact `MatrixQ`, for the tests and the tracer
+only.  Each nonzero coefficient of a row is stored at its own unknown:
+the result is the row-major Kronecker form vec(A X B) = kron(A, B^T)
+vec(X) of each block, entry for entry, without forming the mostly-zero
+products with identity matrices.
 
 A writer refuses, with a :class:`QuivrepError`, a system of more than
 :data:`linalg.MAX_CELLS` cells before it allocates a row or an integer form.
@@ -106,7 +105,8 @@ def intertwiner_rows(m: Representation, n: Representation) -> MatrixZ:
 
 
 def intertwiner_matrix(m: Representation, n: Representation) -> MatrixQ:
-    """The exact matrix of :func:`intertwiner_rows`, whose image is B(M, N)."""
+    """The exact matrix of :func:`intertwiner_rows`, read only by
+    :func:`coboundary_matrix`, the tests and ``perfbench/tracing.py``."""
     return intertwiner_rows(m, n).to_q()
 
 
@@ -237,31 +237,25 @@ def cocycle_system(v: Representation, u: Representation, bq: BoundQuiver) -> Mat
 
 def cocycle_space(v: Representation, u: Representation, bq: BoundQuiver) -> Basis:
     """Basis of Z(V, U), the cocycles for extensions of V by U: ker cocycle_rows."""
-    quiver = bq.quiver
-    elements = tuple(
-        CocycleElement.from_flat(quiver, u.dim, v.dim, vec)
-        for vec in kernel_basis(cocycle_rows(v, u, bq)))
-    return Basis(elements)
+    return Basis(tuple(CocycleElement.from_flat(bq.quiver, u.dim, v.dim, vec)
+                       for vec in kernel_basis(cocycle_rows(v, u, bq))))
 
 
 def coboundary_matrix(v: Representation, u: Representation) -> MatrixQ:
     """Matrix of h |-> (U_a h_source - h_target V_a): the intertwiner system.
 
-    Kept as a one-line delegate: ``perfbench/tracing.py`` resolves
-    ``quivrep.homology.coboundary_matrix`` by name, and without it
-    ``perfbench/run.py --trace 1`` fails with AttributeError.
+    Read by nothing but ``perfbench/tracing.py``, which resolves it by
+    name; without it ``perfbench/run.py --trace 1`` fails with AttributeError.
     """
     return intertwiner_matrix(v, u)
 
 
 def coboundary_space(v: Representation, u: Representation) -> Basis:
-    """Basis of B(V, U), the coboundaries in the cocycle ambient: im intertwiner_matrix."""
-    quiver = u.quiver
-    delta = intertwiner_matrix(v, u)
-    elements = tuple(
-        CocycleElement.from_flat(quiver, u.dim, v.dim, vec)
-        for vec in image_basis(delta))
-    return Basis(elements)
+    """Basis of B(V, U), the coboundaries in the cocycle ambient: the image
+    of intertwiner_rows, the rows ext_report ranks for b_dim.  In the
+    package only geometry.constrained_cocycles reads it."""
+    return Basis(tuple(CocycleElement.from_flat(u.quiver, u.dim, v.dim, vec)
+                       for vec in image_basis(intertwiner_rows(v, u))))
 
 
 class ExtReport(Value):

@@ -16,9 +16,10 @@ pivot.  `rank` stops after forward elimination and builds no Fraction;
 gives exactly the unique RREF of a Fraction Gauss-Jordan elimination.
 `rank` takes the short side: a system with more nonzero rows than
 columns is eliminated as its transpose (rank A = rank A^T).
-`image_basis` takes a `MatrixQ` only, as scaling rows changes the
-column space.  `EchelonBasis` keeps a growing span as integer rows and
-tests membership by reducing a vector with `_clear`.
+`image_basis` takes either type too, bringing a `MatrixZ`'s rows to one
+scale first, as scaling single rows changes the column space.
+`EchelonBasis` keeps a growing span as integer rows and tests
+membership by reducing a vector with `_clear`.
 :func:`kernel_basis` refuses a basis of more than :data:`MAX_CELLS`
 entries.  Matrices are immutable; zero-by-n and n-by-zero shapes are
 first-class citizens because representations routinely carry them at
@@ -398,15 +399,20 @@ def kernel_basis(m: MatrixQ | MatrixZ):
     return basis
 
 
-def image_basis(m: MatrixQ):
+def image_basis(m: MatrixQ | MatrixZ):
     """Basis of the column space, as row vectors of length m.rows.  The
     transpose is a zip of the rows, so a matrix without rows has none.
-
-    Only a MatrixQ: the columns of a MatrixZ's integer rows span another
-    space unless every row has the same scale.
+    A MatrixZ's rows are first brought to the scale L = lcm(scales), row i
+    to data[i] * (L // scales[i]): scaling the whole matrix changes no RREF.
     """
-    cols = tuple(zip(*m.data))
-    reduced, _ = rref(MatrixQ(len(cols), m.rows, cols))
+    if isinstance(m, MatrixZ):
+        top = lcm(*m.scales)
+        cols = tuple(zip(*[row if s == top else [x * (top // s) for x in row]
+                           for row, s in zip(m.data, m.scales)]))
+        reduced, _ = rref(MatrixZ(len(cols), m.rows, cols, (top,) * len(cols)))
+    else:
+        cols = tuple(zip(*m.data))
+        reduced, _ = rref(MatrixQ(len(cols), m.rows, cols))
     return [row for row in reduced.data if any(row)]
 
 

@@ -227,16 +227,20 @@ def test_benchmark_grid_report_matches_its_pins(params, kv, text):
     # the failing one; the benchmark pins (1,1,1,1,1) and (2,2,2,2,2), so
     # their digests must also match perfbench/refs.json, and a missing pin fails.
     if params == (1, 1, 1, 1, 1):
-        report = verify_family(FamilyParams(*params))
+        report, stderr = verify_family(FamilyParams(*params)), ""
     else:
         with pytest.raises(InequalityViolated) as exc:
             verify_family(FamilyParams(*params))
-        report = exc.value.report
+        report, stderr = exc.value.report, f"error: {exc.value}\n"
 
     def digest(body):
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
     assert (digest(report.to_kv()), digest(report.to_text())) == (kv, text)
+    # What `quivrep paper-verify` writes to stderr, pinned as well.
+    assert digest(stderr) == {(1, 1, 1, 1, 1): "e3b0c44298fc1c14",
+                              (2, 2, 2, 2, 2): "2e04e19954c5f320",
+                              (3, 2, 2, 3, 2): "f414087a75898977"}[params]
     if params in ((1, 1, 1, 1, 1), (2, 2, 2, 2, 2)):
         refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json").read_text())
         pins = refs["grid"][",".join(map(str, params))]

@@ -7,9 +7,10 @@ row, kept verbatim with their `_add_block` helper and the Fraction
 Kronecker products with identity matrices.  They live here as oracles
 only: every system the package builds must equal theirs entry for entry,
 so ranks, kernels, images and every report built on them are unchanged.
-`hom_basis` and `cocycle_space` take their kernels of the integer rows as
-written; the kernels of the exact matrices, split into blocks by the loop
-they used before, are their oracle.
+`hom_basis` and `cocycle_space` take their kernels, and `coboundary_space`
+its image, of the integer rows as written; the kernels and the image of
+the exact matrices, split into blocks by the loop they used before, are
+their oracle.
 """
 
 from fractions import Fraction
@@ -17,11 +18,11 @@ from random import Random
 
 import pytest
 
-from quivrep import (BoundQuiver, ExtReport, Quiver, cocycle_space, euler_form, ext_report,
-                     hom_basis, hom_dim, make_rep, rank)
+from quivrep import (BoundQuiver, ExtReport, Quiver, coboundary_space, cocycle_space, euler_form,
+                     ext_report, hom_basis, hom_dim, make_rep, rank)
 from quivrep.errors import QuivrepError
 from quivrep.homology import cocycle_rows, cocycle_system, intertwiner_matrix
-from quivrep.linalg import MatrixQ, MatrixZ, kernel_basis, kron, vstack
+from quivrep.linalg import MatrixQ, MatrixZ, image_basis, kernel_basis, kron, vstack
 from util import (hitting_set_point, random_bound_quiver, random_dims, random_quiver_with_cycles,
                   random_relations, random_rep, random_variety_pair, with_rational_coefficients,
                   with_rational_entries)
@@ -242,10 +243,11 @@ def _oracle_split(vec, shapes) -> tuple:
 
 
 def test_bases_of_the_integer_rows_match_the_exact_kernels(monkeypatch):
-    """hom_basis and cocycle_space eliminate the integer rows as written,
-    without building the exact matrices; their bases equal those split from
-    the kernels of intertwiner_matrix and cocycle_system, on entries and
-    relation coefficients with denominators, in both orders and on (u, u)."""
+    """hom_basis, cocycle_space and coboundary_space read the integer rows
+    as written, without building the exact matrices; their bases equal those
+    split from the kernels of intertwiner_matrix and cocycle_system and from
+    the image of intertwiner_matrix, on entries and relation coefficients
+    with denominators, in both orders and on (u, u)."""
     rng = Random(2601)
     cases = []
     for _ in range(120):
@@ -263,19 +265,23 @@ def test_bases_of_the_integer_rows_match_the_exact_kernels(monkeypatch):
         want.append((
             [dict(zip(bq.quiver.vertices, _oracle_split(vec, vertex_shapes)))
              for vec in kernel_basis(intertwiner_matrix(a, b))],
-            [_oracle_split(vec, arrow_shapes) for vec in kernel_basis(cocycle_system(a, b, bq))]))
+            [_oracle_split(vec, arrow_shapes) for vec in kernel_basis(cocycle_system(a, b, bq))],
+            [_oracle_split(vec, arrow_shapes) for vec in image_basis(intertwiner_matrix(a, b))]))
 
     def refused(*args):
         raise AssertionError("built an exact system")
 
     monkeypatch.setattr(MatrixZ, "to_q", refused)
-    homs = cocycles = scaled = unequal_scales = 0
-    for (a, b, bq), (want_hom, want_z) in zip(cases, want):
+    homs = cocycles = coboundaries = scaled = unequal_scales = 0
+    for (a, b, bq), (want_hom, want_z, want_b) in zip(cases, want):
         assert list(hom_basis(a, b).elements) == want_hom
         assert [z.matrices for z in cocycle_space(a, b, bq).elements] == want_z
+        assert [z.matrices for z in coboundary_space(a, b).elements] == want_b
         homs += bool(want_hom)
         cocycles += bool(want_z)
+        coboundaries += bool(want_b)
         scales = cocycle_rows(a, b, bq).scales
         scaled += any(s > 1 for s in scales)
         unequal_scales += len(set(scales)) > 1
-    assert homs > 250 and cocycles > 250 and scaled > 150 and unequal_scales > 80
+    assert homs > 250 and cocycles > 250 and coboundaries > 250
+    assert scaled > 150 and unequal_scales > 80

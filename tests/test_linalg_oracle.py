@@ -9,10 +9,10 @@ values under both cores.  The derived functions are run
 once as they are and once with `linalg.rref` swapped for the oracle's.
 `rank` eliminates a tall system as its transpose, so it is also checked on
 tall, wide and row-less matrices, as `MatrixQ` and as `MatrixZ`, against
-the oracle and against the rank of the transpose.  `rref` and
-`kernel_basis` take a `MatrixZ`'s rows as written, so they are checked on
-`as_matrix_z(m)`, whose rows have unequal scales, against the oracle's
-values for m.  `EchelonBasis` is
+the oracle and against the rank of the transpose.  `rref`,
+`kernel_basis` and `image_basis` take a `MatrixZ`, so they are checked
+on `as_matrix_z(m)`, whose rows have unequal scales, against the
+oracle's values for m.  `EchelonBasis` is
 checked against the rank-based `in_span` on streams of vectors.
 `MatrixQ.__add__`, which passes an entry through when the other is zero,
 is checked against the entrywise `Fraction` sum, and `middle_term`, which
@@ -191,6 +191,22 @@ def test_derived_functions_match_oracle(m):
     assert kernel_basis(as_matrix_z(m)) == old
     new, old = both(image_basis, m)
     assert new == old
+    assert image_basis(as_matrix_z(m)) == old
+
+
+def test_image_basis_brings_integer_rows_to_one_scale():
+    # Rows 1/1 and 1/2 of one column: the column space is spanned by
+    # (1, 1/2), not by the (1, 1) of the integer rows.  The transpose is
+    # still eliminated by rref, as integer rows.
+    calls = []
+
+    def traced(t):
+        calls.append(type(t))
+        return rref(t)
+
+    with mock.patch.object(linalg, "rref", traced):
+        assert image_basis(MatrixZ(2, 1, ((1,), (1,)), (1, 2))) == [(1, Fraction(1, 2))]
+    assert calls == [MatrixZ]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -211,6 +227,7 @@ def test_edge_shapes_match_oracle():
         for fn in (kernel_basis, image_basis, inverse):
             new, old = both(fn, m)
             assert new == old
+        assert image_basis(as_matrix_z(m)) == image_basis(m)
 
 
 @st.composite

@@ -25,15 +25,21 @@ def test_family_sweep_stdout_is_deterministic():
 
 
 def test_family_sweep_prints_its_pinned_report():
-    # The passing branch, a grid with flagged pairs and a mixed tuple, pinned
-    # by digest: a change to a form, a bound, a verdict or a pair changes it.
-    argv = [sys.executable, os.path.join(ROOT, "scripts", "family_sweep.py"),
-            "--params", "1,1,1,1,1", "--params", "2,2,2,2,2", "--params", "1,2,1,2,1"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "InequalityViolated at (u=alpha2, v=xi2), (u=gamma2, v=delta2)" in proc.stdout
-    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    assert digest[:16] == "d90be70925a34eb6"
+    # The passing branch, a grid with flagged pairs and a mixed tuple, and
+    # the sweep over every tuple of arms 1..2, pinned by digest: a change to
+    # a form, a bound, a verdict or a pair changes it.
+    script = os.path.join(ROOT, "scripts", "family_sweep.py")
+    for args, want in [
+        (["--params", "1,1,1,1,1", "--params", "2,2,2,2,2", "--params", "1,2,1,2,1"],
+         "d90be70925a34eb6"),
+        (["--max-arm", "2", "--seed", "1"], "3d4378e551555051"),
+    ]:
+        proc = subprocess.run([sys.executable, script, *args], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "InequalityViolated at (u=alpha2, v=xi2), (u=gamma2, v=delta2)" in proc.stdout
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest[:16] == want, args
 
 
 def test_family_sweep_refuses_an_arm_length_below_one_as_a_usage_error():
