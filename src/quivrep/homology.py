@@ -26,8 +26,9 @@ of the representations (``Representation.integer_form``, scale d_M for M):
   path of the relation, as :func:`_twisted_slots` sets out.
 
 Ranks (:func:`hom_dim`, :func:`ext_report`), kernels (:func:`hom_basis`,
-:func:`cocycle_space`) and the image (:func:`coboundary_space`) read those
-rows as they are; `linalg.image_basis` brings them to one scale first.
+:func:`cocycle_space`, and the Hom(M, N) vectors :func:`iso_probable` sums)
+and the image (:func:`coboundary_space`) read those rows as they are;
+`linalg.image_basis` brings them to one scale first.
 :func:`intertwiner_matrix` and :func:`cocycle_system` divide the rows by
 their scales into the exact `MatrixQ`, for the tests and the tracer
 only.  Each nonzero coefficient of a row is stored at its own unknown:
@@ -45,7 +46,6 @@ any extension field.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul
@@ -301,11 +301,11 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
 
     Returns "NotIsomorphic" on a proof (dimension vectors differ,
     endomorphism dimensions differ, or hom(M, N) != end(M)),
-    "Isomorphic" when some random rational combination of a Hom basis is
-    invertible at every vertex (an exact certificate), and "Inconclusive"
-    after the given number of failed draws.  Coefficients are drawn from
-    [-entry_bound, entry_bound], so `entry_bound` must be at least 1, and
-    `trials` must be at least 1.
+    "Isomorphic" when some random integer combination of the flat Hom(M, N)
+    kernel vectors of :func:`intertwiner_rows` is invertible at every vertex
+    (an exact certificate), and "Inconclusive" after the given number of
+    failed draws.  Coefficients are drawn from [-entry_bound, entry_bound],
+    so `entry_bound` must be at least 1, and `trials` must be at least 1.
     """
     trials, entry_bound = count(trials, "trial count", 1), count(entry_bound, "entry bound", 1)
     if m.quiver != n.quiver:
@@ -315,20 +315,15 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
     end = hom_dim(m, m)
     if end != hom_dim(n, n):
         return "NotIsomorphic"
-    basis = hom_basis(m, n)
-    if basis.dim != end:
+    basis = kernel_basis(intertwiner_rows(m, n))
+    if len(basis) != end:
         return "NotIsomorphic"
     rng = seeded_rng("iso", seed)
-    quiver = m.quiver
+    shapes = list(zip(n.dim.entries, m.dim.entries))
     for _ in range(trials):
-        coeffs = [Fraction(rng.randint(-entry_bound, entry_bound)) for _ in basis.elements]
-        candidate = {}
-        for v in quiver.vertices:
-            acc = MatrixQ.zeros(n.dim[v], m.dim[v])
-            for c, fam in zip(coeffs, basis.elements):
-                if c:
-                    acc = acc + fam[v].scale(c)
-            candidate[v] = acc
-        if all(is_invertible(candidate[v]) for v in quiver.vertices):
+        coeffs = [rng.randint(-entry_bound, entry_bound) for _ in basis]
+        # flat[i] = sum of c * vec[i]; the basis is empty only if end(M) = 0, so M = N = 0.
+        flat = [sum([c * y for c, y in zip(coeffs, col) if c]) for col in zip(*basis)]
+        if all(map(is_invertible, unflatten(flat, shapes))):
             return "Isomorphic"
     return "Inconclusive"

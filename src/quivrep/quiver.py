@@ -348,6 +348,7 @@ def classify_dimvector(d: DimVector, bq: BoundQuiver) -> str:
     "UniqueIndecomposable" (q = 1), "OneParameterFamilies" (q = 0).
     """
     quiver = bq.quiver
+    q = tits_form(d, bq)  # first: euler_form refuses a DimVector of another quiver
     supported = [v for v, x in zip(quiver.vertices, d.entries) if x > 0]
     adj = {v: [] for v in supported}
     for a in quiver.arrows:
@@ -356,7 +357,6 @@ def classify_dimvector(d: DimVector, bq: BoundQuiver) -> str:
             adj[a.target].append(a.source)
     if not supported or len(_reach(adj, supported[:1])) < len(supported):
         return "NoIndecomposable"
-    q = tits_form(d, bq)
     if q == 1:
         return "UniqueIndecomposable"
     if q == 0:

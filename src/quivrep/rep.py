@@ -51,6 +51,8 @@ class Representation(Value):
 
     @staticmethod
     def of(quiver: Quiver, dim: DimVector, matrices: Sequence[MatrixQ]) -> "Representation":
+        if dim.quiver != quiver:
+            raise QuivrepError("dimension vector on a different quiver")
         mats = tuple(matrices)
         if len(mats) != len(quiver.arrows):
             raise ShapeMismatch("need exactly one matrix per arrow")
@@ -110,10 +112,12 @@ def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -
     """Convenience builder: dims as mapping/sequence, matrices by arrow name.
 
     Arrows not mentioned in `mats` get zero matrices of the right shape.
-    A representation whose matrices would hold more than MAX_CELLS entries
-    in all is refused before any matrix is built.
+    A DimVector of another quiver, or matrices that would hold more than
+    MAX_CELLS entries in all, are refused before any matrix is built.
     """
     dim = dims if isinstance(dims, DimVector) else DimVector.of(quiver, dims)
+    if dim.quiver != quiver:
+        raise QuivrepError("dimension vector on a different quiver")
     mats = dict(mats or {})
     unknown = [k for k in mats if k not in quiver.arrow_index]
     if unknown:

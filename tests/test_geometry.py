@@ -21,7 +21,7 @@ from quivrep import (
     regularity_certificate,
     simple_rep,
 )
-from quivrep.errors import NotAVarietyPoint
+from quivrep.errors import NotAVarietyPoint, QuivrepError
 from quivrep.family import Family, FamilyParams
 from quivrep.homology import cocycle_space, coboundary_space
 from quivrep.linalg import MatrixQ, rank
@@ -57,6 +57,15 @@ def test_classify_dimvector():
     q3 = a3_bound()
     gap = DimVector.of(q3.quiver, (1, 0, 1))
     assert classify_dimvector(gap, q3) == "NoIndecomposable"
+
+
+def test_classify_dimvector_refuses_a_dimvector_of_another_quiver():
+    """As euler_form and expected_dim do; it once answered NoIndecomposable."""
+    bq = a3_bound()
+    for other in (Quiver.build(("x1", "x2", "x3"), (Arrow("alpha", "x2", "x1"),)),
+                  Quiver.build(("u", "v", "w"), (Arrow("a", "v", "u"),))):
+        with pytest.raises(QuivrepError, match="on a different quiver"):
+            classify_dimvector(DimVector.of(other, (1, 0, 1)), bq)
 
 
 def test_certificate_on_bound_a3_point():

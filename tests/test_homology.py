@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
@@ -29,10 +30,12 @@ from quivrep import (
 )
 
 from quivrep.errors import QuivrepError
-from quivrep import homology
+from quivrep import homology, linalg
 from quivrep.homology import cocycle_system, intertwiner_matrix
 from quivrep.rep import cocycle_ambient_dim
-from util import random_bound_quiver, random_variety_pair
+import util
+from util import (iso_probable_per_vertex, random_bound_quiver, random_variety_pair,
+                  with_rational_entries)
 
 
 def a2():
@@ -208,6 +211,46 @@ def test_iso_probable_inconclusive_after_singular_draws():
     m = direct_sum(s, s)
     assert iso_probable(m, m, trials=1, seed=4, entry_bound=1) == "Inconclusive"
     assert iso_probable(m, m, seed=4) == "Isomorphic"
+
+
+def test_iso_probable_matches_the_per_vertex_sums(monkeypatch):
+    """iso_probable sums the writer's flat Hom kernel vectors and splits the
+    sum per vertex.  On seeded pairs (M, N), (M, M) and (M, g.M), some with
+    non-integer entries, at three trial and entry-bound settings, it gives
+    the verdict of the per-vertex MatrixQ sums it replaced and tests the
+    same matrices in the same order; all three verdicts occur."""
+    tested = {"flat": [], "per_vertex": []}
+
+    def recording(key):
+        def is_invertible(mat):
+            tested[key].append(mat)
+            return linalg.is_invertible(mat)
+        return is_invertible
+
+    monkeypatch.setattr(homology, "is_invertible", recording("flat"))
+    monkeypatch.setattr(util, "is_invertible", recording("per_vertex"))
+    rng = Random(2801)
+    verdicts, matrices = Counter(), 0
+    for k in range(80):
+        bq = random_bound_quiver(rng, max_vertices=4)
+        m, n = random_variety_pair(rng, bq)
+        if k % 2:
+            m = with_rational_entries(m, rng)
+        g = {v: random_invertible(m.dim[v], rng) for v in bq.quiver.vertices}
+        for a, b in ((m, n), (m, m), (m, conjugate(m, g))):
+            for trials, entry_bound in ((1, 1), (2, 1), (8, 100)):
+                seed = rng.randint(0, 10**6)
+                got = iso_probable(a, b, trials, seed, entry_bound)
+                assert got == iso_probable_per_vertex(a, b, trials, seed, entry_bound)
+                assert tested["flat"] == tested["per_vertex"]
+                verdicts[got] += 1
+                matrices += len(tested["flat"])
+                tested["flat"].clear()
+                tested["per_vertex"].clear()
+    assert verdicts["NotIsomorphic"] > 150 and verdicts["Inconclusive"] > 50
+    assert verdicts["Isomorphic"] > 300 and matrices > 1000
+    zero = make_rep(bq.quiver, [0] * len(bq.quiver.vertices))  # an empty Hom basis
+    assert iso_probable(zero, zero) == iso_probable_per_vertex(zero, zero) == "Isomorphic"
 
 
 def test_iso_probable_dim_mismatch():

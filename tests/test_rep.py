@@ -11,6 +11,7 @@ from quivrep import (
     MatrixQ,
     Quiver,
     Relation,
+    Representation,
     conjugate,
     direct_sum,
     make_rep,
@@ -52,6 +53,23 @@ def test_make_rep_refuses_a_matrix_literal_that_is_not_a_list_of_rows(literal):
     q = Quiver.build(("a", "b"), [("x", "b", "a")])
     with pytest.raises(QuivrepError, match="matrix literal must be a list"):
         make_rep(q, (1, 2), {"x": literal})
+
+
+def test_make_rep_and_of_refuse_a_dimvector_of_another_quiver():
+    """A DimVector of another quiver is refused before any entry is read,
+    whether it shares the vertex names (it once built a rep whose dim.quiver
+    was the other quiver) or not (it once raised a bare KeyError)."""
+    q2 = Quiver.build(("a", "b", "c"), [("x", "b", "a"), ("y", "c", "b")])
+    mats = make_rep(q2, (1, 1, 0), {"x": [[1]]}).matrices
+    for q1 in (Quiver.build(("a", "b", "c"), [("x", "b", "a")]),
+               Quiver.build(("u", "v", "w"), [("x", "v", "u")])):
+        foreign = DimVector.of(q1, (1, 1, 0))
+        with pytest.raises(QuivrepError, match="dimension vector on a different quiver"):
+            make_rep(q2, foreign, {"x": [[1]]})
+        with pytest.raises(QuivrepError, match="dimension vector on a different quiver"):
+            Representation.of(q2, foreign, mats)
+    own = DimVector.of(q2, (1, 1, 0))
+    assert make_rep(q2, own, {"x": [[1]]}) == Representation.of(q2, own, mats)
 
 
 def test_make_rep_reads_string_entries_as_rationals():

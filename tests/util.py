@@ -35,9 +35,10 @@ from quivrep import (
     random_matrix,
     seeded_rng,
 )
+from quivrep._value import count
 from quivrep.errors import QuivrepError
 from quivrep.homology import cocycle_system, intertwiner_matrix
-from quivrep.linalg import in_span, independent_subset, kernel_basis, rank
+from quivrep.linalg import in_span, independent_subset, is_invertible, kernel_basis, rank
 
 
 def random_acyclic_quiver(rng: Random, max_vertices: int = 5, max_arrows: int = 6) -> Quiver:
@@ -321,3 +322,41 @@ def predicted_row(params: FamilyParams, u: str, v: str) -> dict:
              and u == {"xi": f"alpha{p}", "delta": f"gamma{r}"}[arm[1]])
     return {"hom_probe": 1, "z_h1h1": p + q + r - 1, "z_h2h2": s + t, "z_cross": 0,
             "b_cross": 1, "direct": total + extra, "hom_12": 1, "hom_21": 0}
+
+
+# -- the per-vertex isomorphism test, the oracle of the flat Hom sum ---------
+#
+# `homology.iso_probable` once summed the hom_basis families vertex by vertex,
+# one MatrixQ.zeros + scale sum per vertex and draw.  It now forms one flat sum
+# of the writer's kernel vectors and splits it per vertex.  This is the old
+# body, kept verbatim, as the oracle of the verdicts and of the matrices tested.
+
+
+def iso_probable_per_vertex(m: Representation, n: Representation, trials: int = 8,
+                            seed: int = 0, entry_bound: int = 100) -> str:
+    """The verdict of `iso_probable` from per-vertex MatrixQ sums."""
+    trials, entry_bound = count(trials, "trial count", 1), count(entry_bound, "entry bound", 1)
+    if m.quiver != n.quiver:
+        raise QuivrepError("representations on different quivers")
+    if m.dim != n.dim:
+        return "NotIsomorphic"
+    end = hom_dim(m, m)
+    if end != hom_dim(n, n):
+        return "NotIsomorphic"
+    basis = hom_basis(m, n)
+    if basis.dim != end:
+        return "NotIsomorphic"
+    rng = seeded_rng("iso", seed)
+    quiver = m.quiver
+    for _ in range(trials):
+        coeffs = [Fraction(rng.randint(-entry_bound, entry_bound)) for _ in basis.elements]
+        candidate = {}
+        for v in quiver.vertices:
+            acc = MatrixQ.zeros(n.dim[v], m.dim[v])
+            for c, fam in zip(coeffs, basis.elements):
+                if c:
+                    acc = acc + fam[v].scale(c)
+            candidate[v] = acc
+        if all(is_invertible(candidate[v]) for v in quiver.vertices):
+            return "Isomorphic"
+    return "Inconclusive"
