@@ -54,7 +54,7 @@ from ._value import Value, count
 from .errors import QuivrepError
 from .linalg import (MAX_CELLS, MatrixQ, MatrixZ, image_basis, is_invertible, kernel_basis,
                      rank, seeded_rng, unflatten)
-from .quiver import BoundQuiver, Relation, euler_form
+from .quiver import BoundQuiver, Relation, euler_form, same_quiver
 from .rep import CocycleElement, Representation, _times
 
 
@@ -73,8 +73,7 @@ def intertwiner_rows(m: Representation, n: Representation) -> MatrixZ:
     an arrow a: s -> t, row (i, j) of its block holds N_a[i, k] at unknown
     f_s[k, j] and -M_a[l, j] at unknown f_t[i, l], every row times d_M d_N.
     """
-    if m.quiver != n.quiver:
-        raise QuivrepError("representations on different quivers")
+    same_quiver(m.quiver, "representation", n)
     ends = m.quiver.arrow_ends
     m_dim, n_dim = m.dim.entries, n.dim.entries
     offsets = list(accumulate(map(mul, m_dim, n_dim), initial=0))
@@ -197,8 +196,7 @@ def cocycle_rows(v: Representation, u: Representation, bq: BoundQuiver) -> Matri
     it adds coeff * P[r, i] * S[k, c] at unknown Z_{a_j}[i, k] of row (r, c).
     """
     quiver = bq.quiver
-    if u.quiver != quiver or v.quiver != quiver:
-        raise QuivrepError("representations on a different quiver")
+    same_quiver(quiver, "representation", u, v)
     u_dim, v_dim = u.dim.entries, v.dim.entries
     offsets = list(accumulate([u_dim[t] * v_dim[s] for s, t in quiver.arrow_ends], initial=0))
     total = offsets.pop()
@@ -308,8 +306,7 @@ def iso_probable(m: Representation, n: Representation, trials: int = 8,
     so `entry_bound` must be at least 1, and `trials` must be at least 1.
     """
     trials, entry_bound = count(trials, "trial count", 1), count(entry_bound, "entry bound", 1)
-    if m.quiver != n.quiver:
-        raise QuivrepError("representations on different quivers")
+    same_quiver(m.quiver, "representation", n)
     if m.dim != n.dim:
         return "NotIsomorphic"
     end = hom_dim(m, m)

@@ -22,6 +22,15 @@ from ._value import Value, count, rational
 from .errors import MixedEndpoints, NonComposable, QuivrepError
 
 
+def same_quiver(quiver: "Quiver", what: str, *values) -> None:
+    """The one check that values share a quiver, for the whole package:
+    QuivrepError "<what> on a different quiver" unless every value's
+    ``.quiver`` equals `quiver`.  Internal: not in ``quivrep.__all__``."""
+    for value in values:
+        if value.quiver != quiver:
+            raise QuivrepError(f"{what} on a different quiver")
+
+
 class Arrow(Value):
     __slots__ = _fields = ("name", "source", "target")
 
@@ -142,6 +151,9 @@ class Relation(Value):
         in first-occurrence order, and paths whose coefficients cancel are
         dropped; a relation with no term left is refused.
         """
+        if not terms:
+            raise QuivrepError("relation must have at least one term")
+        same_quiver(terms[0][1].quiver, "relation path", *[path for _, path in terms])
         merged = {}  # arrow word -> (summed coefficient, first path)
         for coeff, path in terms:
             coeff = rational(coeff)
@@ -151,8 +163,6 @@ class Relation(Value):
                 total, path = merged[path.arrow_names]
                 coeff += total
             merged[path.arrow_names] = (coeff, path)
-        if not merged:
-            raise QuivrepError("relation must have at least one term")
         (_, first), *rest = merged.values()
         src, tgt = first.source, first.target
         for _, path in rest:
@@ -186,10 +196,7 @@ class BoundQuiver(Value):
     @staticmethod
     def of(quiver: Quiver, relations: Sequence[Relation]) -> "BoundQuiver":
         rels = tuple(relations)
-        for rel in rels:
-            for _, path in rel.terms:
-                if path.quiver != quiver:
-                    raise QuivrepError("relation path on a different quiver")
+        same_quiver(quiver, "relation path", *[path for rel in rels for _, path in rel.terms])
         return BoundQuiver(quiver, rels)
 
     @property
@@ -226,8 +233,7 @@ class DimVector(Value):
         return self.entries[self.quiver.vertex_index[vertex]]
 
     def __add__(self, other: "DimVector") -> "DimVector":
-        if self.quiver != other.quiver:
-            raise QuivrepError("dimension vectors on different quivers")
+        same_quiver(self.quiver, "dimension vector", other)
         return DimVector(self.quiver, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     @property
@@ -253,8 +259,7 @@ def euler_form(d1: DimVector, d2: DimVector, bq: BoundQuiver) -> int:
     vectors; the relation term counts one generator per relation.
     """
     quiver = bq.quiver
-    if d1.quiver != quiver or d2.quiver != quiver:
-        raise QuivrepError("dimension vectors on a different quiver")
+    same_quiver(quiver, "dimension vector", d1, d2)
     x, y = d1.entries, d2.entries
     return (sum(map(mul, x, y)) - sum([x[s] * y[t] for s, t in quiver.arrow_ends])
             + sum([x[s] * y[t] for s, t in bq.relation_ends]))
@@ -268,14 +273,10 @@ def tits_form(d: DimVector, bq: BoundQuiver) -> int:
 def expected_dim(d: DimVector, bq: BoundQuiver) -> int:
     """Naive dimension count for the module variety of d.
 
-    Sum of arrow matrix sizes minus the sizes of the relation equations;
-    always equals dim GL(d) - q(d).
+    Sum of arrow matrix sizes minus the sizes of the relation equations,
+    which is dim GL(d) - q(d).
     """
-    if d.quiver != bq.quiver:
-        raise QuivrepError("dimension vector on a different quiver")
-    x = d.entries
-    return (sum([x[s] * x[t] for s, t in bq.quiver.arrow_ends])
-            - sum([x[s] * x[t] for s, t in bq.relation_ends]))
+    return d.glsum() - tits_form(d, bq)
 
 
 # -- structural predicates and closures --------------------------------

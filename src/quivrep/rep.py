@@ -34,7 +34,7 @@ from operator import mul
 from ._value import Value, _set
 from .errors import QuivrepError, ShapeMismatch
 from .linalg import MAX_CELLS, MatrixQ, inverse, unflatten
-from .quiver import BoundQuiver, DimVector, Quiver, Relation
+from .quiver import BoundQuiver, DimVector, Quiver, Relation, same_quiver
 
 
 def _times(a: tuple, b: tuple, cols: int) -> tuple:
@@ -51,8 +51,7 @@ class Representation(Value):
 
     @staticmethod
     def of(quiver: Quiver, dim: DimVector, matrices: Sequence[MatrixQ]) -> "Representation":
-        if dim.quiver != quiver:
-            raise QuivrepError("dimension vector on a different quiver")
+        same_quiver(quiver, "dimension vector", dim)
         mats = tuple(matrices)
         if len(mats) != len(quiver.arrows):
             raise ShapeMismatch("need exactly one matrix per arrow")
@@ -87,8 +86,7 @@ class Representation(Value):
 
     def is_variety_point(self, bq: BoundQuiver) -> bool:
         """Whether every relation vanishes, on the integer form (see above)."""
-        if bq.quiver != self.quiver:
-            raise QuivrepError("representation on a different quiver")
+        same_quiver(bq.quiver, "representation", self)
         d, mats = self.integer_form
         index = self.quiver.arrow_index
         for rel in bq.relations:
@@ -116,8 +114,7 @@ def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -
     MAX_CELLS entries in all, are refused before any matrix is built.
     """
     dim = dims if isinstance(dims, DimVector) else DimVector.of(quiver, dims)
-    if dim.quiver != quiver:
-        raise QuivrepError("dimension vector on a different quiver")
+    same_quiver(quiver, "dimension vector", dim)
     mats = dict(mats or {})
     unknown = [k for k in mats if k not in quiver.arrow_index]
     if unknown:
@@ -145,9 +142,8 @@ def simple_rep(quiver: Quiver, vertex: str) -> Representation:
 
 
 def direct_sum(m: Representation, n: Representation) -> Representation:
-    """The split extension of n by m: the middle term of the zero cocycle."""
-    if m.quiver != n.quiver:
-        raise QuivrepError("summands on different quivers")
+    """The split extension of n by m: the middle term of the zero cocycle,
+    whose gate refuses summands on different quivers."""
     zero = CocycleElement(m.quiver, m.dim, n.dim, tuple(
         MatrixQ.zeros(a.rows, b.cols) for a, b in zip(m.matrices, n.matrices)))
     return middle_term(zero, m, n)
@@ -155,6 +151,8 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
 
 def conjugate(m: Representation, g: Mapping[str, MatrixQ]) -> Representation:
     """Base change by an invertible family g: arrow matrix g_t M_a g_s^{-1}."""
+    if not (isinstance(g, Mapping) and all(isinstance(g.get(v), MatrixQ) for v in m.quiver.vertices)):
+        raise QuivrepError("conjugate needs a mapping with a MatrixQ at every vertex")
     g_inv = {v: inverse(g[v]) for v in m.quiver.vertices}
     return Representation.of(m.quiver, m.dim, [g[arrow.target] @ a @ g_inv[arrow.source]
                                                for arrow, a in zip(m.quiver.arrows, m.matrices)])
@@ -177,7 +175,8 @@ class CocycleElement(Value):
         return self.matrices[self.quiver.arrow_index[arrow_name]]
 
     def __add__(self, other: "CocycleElement") -> "CocycleElement":
-        if (self.quiver, self.sub_dim, self.quot_dim) != (other.quiver, other.sub_dim, other.quot_dim):
+        same_quiver(self.quiver, "cocycle", other)
+        if (self.sub_dim, self.quot_dim) != (other.sub_dim, other.quot_dim):
             raise ShapeMismatch("cocycles in different ambient spaces")
         return CocycleElement(self.quiver, self.sub_dim, self.quot_dim,
                               tuple(a + b for a, b in zip(self.matrices, other.matrices)))
@@ -194,11 +193,13 @@ class CocycleElement(Value):
     def from_flat(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector,
                   coords: Sequence[Fraction]) -> "CocycleElement":
         """The inverse of :meth:`flatten`; ShapeMismatch on a wrong length."""
+        same_quiver(quiver, "dimension vector", sub_dim, quot_dim)
         shapes = [(sub_dim[arrow.target], quot_dim[arrow.source]) for arrow in quiver.arrows]
         return CocycleElement(quiver, sub_dim, quot_dim, tuple(unflatten(coords, shapes)))
 
 
 def cocycle_ambient_dim(quiver: Quiver, sub_dim: DimVector, quot_dim: DimVector) -> int:
+    same_quiver(quiver, "dimension vector", sub_dim, quot_dim)
     return sum(sub_dim[a.target] * quot_dim[a.source] for a in quiver.arrows)
 
 
@@ -210,6 +211,7 @@ def twisted_evaluate(z: CocycleElement, rel: Relation,
     over every term coeff * (a_1 ... a_m) and position j.  The result has
     shape dim(U)_target x dim(V)_source of the relation.
     """
+    same_quiver(z.quiver, "twisted evaluation input", u, v, *[path for _, path in rel.terms])
     if u.dim != z.sub_dim or v.dim != z.quot_dim:
         raise ShapeMismatch("cocycle dimensions do not match u, v")
     acc = MatrixQ.zeros(u.dim[rel.target], v.dim[rel.source])
@@ -231,8 +233,7 @@ def middle_term(z: CocycleElement, u: Representation, v: Representation) -> Repr
     W is a variety point when U and V are and Z is a cocycle; that is not
     checked here.
     """
-    if u.quiver != v.quiver or z.quiver != u.quiver:
-        raise QuivrepError("middle term inputs on different quivers")
+    same_quiver(u.quiver, "middle term input", v, z)
     if u.dim != z.sub_dim or v.dim != z.quot_dim or len(z.matrices) != len(u.matrices):
         raise ShapeMismatch("cocycle dimensions do not match u, v")
     zero = Fraction(0)

@@ -128,6 +128,17 @@ def test_conjugate_preserves_relations_and_acts_as_expected():
     assert c.matrix("beta") == MatrixQ.from_rows([[1], [1]])
 
 
+@pytest.mark.parametrize("g", [
+    {"a": MatrixQ.identity(1)},                      # no matrix at b: once KeyError
+    {"a": MatrixQ.identity(1), "b": [[1]]},          # a list: once AttributeError
+    [MatrixQ.identity(1), MatrixQ.identity(1)],      # not a mapping: once TypeError
+], ids=["missing vertex", "list entry", "not a mapping"])
+def test_conjugate_refuses_a_family_without_a_matrixq_at_every_vertex(g):
+    m = make_rep(Quiver.build(("a", "b"), [("x", "a", "b")]), (1, 1), {"x": [[1]]})
+    with pytest.raises(QuivrepError, match="MatrixQ at every vertex"):
+        conjugate(m, g)
+
+
 def test_zero_and_simple():
     q = a3_bound().quiver
     z = make_rep(q, {})
