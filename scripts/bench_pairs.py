@@ -196,6 +196,9 @@ def main(argv=None) -> int:
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    if args.claim is not None and args.claim not in [m["name"] for m in spec["end_to_end"]]:
+        parser.error(f"argument --claim: {args.claim!r} is not an end_to_end metric "
+                     "of the change's BENCHMARK.json")
     runs = {side: [] for side in SIDES}
     for k, seed in enumerate(args.seeds):
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):

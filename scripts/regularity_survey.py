@@ -55,6 +55,9 @@ def main(argv=None) -> int:
     parser.add_argument("--show-gaps", type=int, default=5, metavar="N",
                         help="print the first N non-regular points (default 5)")
     args = parser.parse_args(argv)
+    for flag, value, least in (("--count", args.count, 1), ("--show-gaps", args.show_gaps, 0)):
+        if value < least:
+            parser.error(f"argument {flag}: must be an integer >= {least}, got {value}")
 
     rng = Random(args.seed)
     verdicts = Counter()

@@ -6,8 +6,11 @@ tuple what a frozen dataclass would generate: a constructor that binds
 positionals, then keywords, in field order and raises TypeError on a
 missing, unknown or twice-given field; equality between instances of one
 class with equal fields (an instance at once equals itself); a hash of the
-fields; the ``Name(field=value, ...)`` repr; and an AttributeError on
-assignment or deletion.  A validating subclass checks its arguments, then
+fields; the ``Name(field=value, ...)`` repr; an AttributeError on
+assignment or deletion; and ``copy``, ``deepcopy`` and ``pickle``, which
+rebuild an instance through its class from its fields (so a kept
+computed attribute, such as a representation's integer form, is
+recomputed, not carried over).  A validating subclass checks its arguments, then
 calls ``super().__init__``; ``linalg.MatrixQ``, built in hot loops, writes
 its constructor out with ``_set = object.__setattr__``.  The field getter
 is an ``operator.attrgetter`` built once, when the class is defined.
@@ -56,6 +59,9 @@ class Value:
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

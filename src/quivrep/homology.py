@@ -163,14 +163,14 @@ def _twisted_slots(rel: Relation, u: Representation, v: Representation) -> tuple
     The prefixes of a term are one running product from the left, and its
     suffixes one from the right; a_j is given by its arrow index.
     """
-    index = u.quiver.arrow_index
+    position = u.quiver.arrow_position
     d_u, u_mats = u.integer_form
     d_v, v_mats = v.integer_form
     longest = max(len(path.arrow_names) for _, path in rel.terms)
     den = lcm(*[coeff.denominator for coeff, _ in rel.terms])
     slots = []
     for coeff, path in rel.terms:
-        ks = [index[name] for name in path.arrow_names]
+        ks = [position(name) for name in path.arrow_names]
         m = len(ks)
         prefixes = [_identity(u.matrices[ks[0]].rows)]
         for k in ks[:-1]:

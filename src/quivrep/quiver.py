@@ -10,6 +10,10 @@ Conventions, used consistently everywhere:
   has length >= 2.
 * Vertex and arrow declaration order is canonical: dimension vectors,
   matrix families and serialised files all follow it.
+* Names are strings.  ``Quiver.vertex_position`` and ``arrow_position``
+  are the package's one lookup from a name to its declaration position;
+  an unknown name is a QuivrepError "unknown vertex 'z'" or "unknown
+  arrow 'z'", and a bare string is refused where a sequence of names goes.
 """
 
 from __future__ import annotations
@@ -31,6 +35,14 @@ def same_quiver(quiver: "Quiver", what: str, *values) -> None:
             raise QuivrepError(f"{what} on a different quiver")
 
 
+def _sequence(names, what: str) -> tuple:
+    """`names` as a tuple; QuivrepError for a bare str, which would otherwise
+    be read as a sequence of one-character names."""
+    if isinstance(names, str):
+        raise QuivrepError(f"{what} must be a sequence, not the string {names!r}")
+    return tuple(names)
+
+
 class Arrow(Value):
     __slots__ = _fields = ("name", "source", "target")
 
@@ -45,21 +57,23 @@ class Quiver(Value):
 
     @staticmethod
     def build(vertices: Sequence[str], arrows: Sequence) -> "Quiver":
-        """Build from vertex names and (name, source, target) triples."""
-        verts = tuple(vertices)
+        """Build from vertex names and (name, source, target) triples; every
+        name, endpoints included, must be a str."""
+        verts = _sequence(vertices, "vertices")
+        arrow_objs = tuple([spec if isinstance(spec, Arrow) else Arrow(*_sequence(spec, "an arrow"))
+                            for spec in _sequence(arrows, "arrows")])
+        for name in verts + tuple([x for a in arrow_objs for x in (a.name, a.source, a.target)]):
+            if not isinstance(name, str):
+                raise QuivrepError(f"vertex and arrow names must be strings, got {name!r}")
         declared = set(verts)
         if len(declared) != len(verts):
             raise QuivrepError("duplicate vertex names")
-        arrow_objs = []
-        for spec in arrows:
-            a = spec if isinstance(spec, Arrow) else Arrow(*spec)
+        for a in arrow_objs:
             if a.source not in declared or a.target not in declared:
                 raise QuivrepError(f"arrow {a.name}: endpoint not a declared vertex")
-            arrow_objs.append(a)
-        names = [a.name for a in arrow_objs]
-        if len(set(names)) != len(names):
+        if len({a.name for a in arrow_objs}) != len(arrow_objs):
             raise QuivrepError("duplicate arrow names")
-        return Quiver(verts, tuple(arrow_objs))
+        return Quiver(verts, arrow_objs)
 
     @cached_property
     def vertex_index(self) -> Mapping[str, int]:
@@ -93,11 +107,22 @@ class Quiver(Value):
                     ready.append(w)
         return stripped == len(self.vertices)
 
-    def arrow(self, name: str) -> Arrow:
+    def vertex_position(self, name: str) -> int:
+        """The declaration position of vertex `name`; QuivrepError if unknown."""
         try:
-            return self.arrows[self.arrow_index[name]]
-        except KeyError:
+            return self.vertex_index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise QuivrepError(f"unknown vertex {name!r}") from None
+
+    def arrow_position(self, name: str) -> int:
+        """The declaration position of arrow `name`; QuivrepError if unknown."""
+        try:
+            return self.arrow_index[name]
+        except (KeyError, TypeError):
             raise QuivrepError(f"unknown arrow {name!r}") from None
+
+    def arrow(self, name: str) -> Arrow:
+        return self.arrows[self.arrow_position(name)]
 
     def path(self, arrow_names: Sequence[str]) -> "Path":
         return Path.of(self, arrow_names)
@@ -110,7 +135,7 @@ class Path(Value):
 
     @staticmethod
     def of(quiver: Quiver, arrow_names: Sequence[str]) -> "Path":
-        names = tuple(arrow_names)
+        names = _sequence(arrow_names, "arrow names")
         if not names:
             raise QuivrepError("empty arrow list")
         arrows = [quiver.arrow(n) for n in names]
@@ -219,10 +244,9 @@ class DimVector(Value):
     @staticmethod
     def of(quiver: Quiver, values) -> "DimVector":
         if isinstance(values, Mapping):
-            unknown = [v for v in values if v not in quiver.vertex_index]
-            if unknown:
-                raise QuivrepError(f"dimension given for unknown vertex {unknown[0]!r}")
-            entries = tuple(values.get(v, 0) for v in quiver.vertices)
+            entries = [0] * len(quiver.vertices)
+            for v, x in values.items():
+                entries[quiver.vertex_position(v)] = x
         else:
             entries = tuple(values)
             if len(entries) != len(quiver.vertices):
@@ -230,7 +254,7 @@ class DimVector(Value):
         return DimVector(quiver, tuple([count(x, "dimension vector entry", 0) for x in entries]))
 
     def __getitem__(self, vertex: str) -> int:
-        return self.entries[self.quiver.vertex_index[vertex]]
+        return self.entries[self.quiver.vertex_position(vertex)]
 
     def __add__(self, other: "DimVector") -> "DimVector":
         same_quiver(self.quiver, "dimension vector", other)
@@ -323,10 +347,9 @@ def minimal_convex(quiver: Quiver, seed_vertices) -> tuple:
     members is again one, so one pass is convex and minimal.  Returns the
     vertices in declaration order.
     """
-    seeds = set(seed_vertices)
+    seeds = _sequence(seed_vertices, "seed vertices")
     for v in seeds:
-        if v not in quiver.vertex_index:
-            raise QuivrepError(f"unknown vertex {v!r}")
+        quiver.vertex_position(v)
     forward = {v: [] for v in quiver.vertices}
     backward = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:

@@ -63,7 +63,7 @@ class Representation(Value):
         return Representation(quiver, dim, mats)
 
     def matrix(self, arrow_name: str) -> MatrixQ:
-        return self.matrices[self.quiver.arrow_index[arrow_name]]
+        return self.matrices[self.quiver.arrow_position(arrow_name)]
 
     @property
     def integer_form(self) -> tuple:
@@ -88,13 +88,13 @@ class Representation(Value):
         """Whether every relation vanishes, on the integer form (see above)."""
         same_quiver(bq.quiver, "representation", self)
         d, mats = self.integer_form
-        index = self.quiver.arrow_index
+        position = self.quiver.arrow_position
         for rel in bq.relations:
             longest = max(len(path.arrow_names) for _, path in rel.terms)
             den = lcm(*[coeff.denominator for coeff, _ in rel.terms])
             coeffs, values = [], []
             for coeff, path in rel.terms:
-                ks = [index[name] for name in path.arrow_names]
+                ks = [position(name) for name in path.arrow_names]
                 value = mats[ks[0]]
                 for k in ks[1:]:
                     value = _times(value, mats[k], self.matrices[k].cols)
@@ -115,29 +115,24 @@ def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -
     """
     dim = dims if isinstance(dims, DimVector) else DimVector.of(quiver, dims)
     same_quiver(quiver, "dimension vector", dim)
-    mats = dict(mats or {})
-    unknown = [k for k in mats if k not in quiver.arrow_index]
-    if unknown:
-        raise QuivrepError(f"matrix given for unknown arrow {unknown[0]!r}")
+    given = {quiver.arrow_position(name): m for name, m in dict(mats or {}).items()}
     sizes = dim.entries
     entries = sum(sizes[s] * sizes[t] for s, t in quiver.arrow_ends)
     if entries > MAX_CELLS:
         raise QuivrepError(f"arrow matrices would hold {entries} entries, "
                            f"more than the cap of {MAX_CELLS}")
     out = []
-    for arrow in quiver.arrows:
-        shape = (dim[arrow.target], dim[arrow.source])
-        if arrow.name in mats:
-            given = mats[arrow.name]
-            m = given if isinstance(given, MatrixQ) else MatrixQ.from_rows(given)
+    for k, (s, t) in enumerate(quiver.arrow_ends):
+        if k not in given:
+            out.append(MatrixQ.zeros(sizes[t], sizes[s]))
         else:
-            m = MatrixQ.zeros(*shape)
-        out.append(m)
+            out.append(given[k] if isinstance(given[k], MatrixQ) else MatrixQ.from_rows(given[k]))
     return Representation.of(quiver, dim, out)
 
 
 def simple_rep(quiver: Quiver, vertex: str) -> Representation:
     """The simple representation: k at one vertex, zero elsewhere."""
+    quiver.vertex_position(vertex)  # an unhashable name is refused before the dict
     return make_rep(quiver, {vertex: 1})
 
 
@@ -172,7 +167,7 @@ class CocycleElement(Value):
     __slots__ = _fields = ("quiver", "sub_dim", "quot_dim", "matrices")
 
     def matrix(self, arrow_name: str) -> MatrixQ:
-        return self.matrices[self.quiver.arrow_index[arrow_name]]
+        return self.matrices[self.quiver.arrow_position(arrow_name)]
 
     def __add__(self, other: "CocycleElement") -> "CocycleElement":
         same_quiver(self.quiver, "cocycle", other)

@@ -20,9 +20,10 @@ reduced fraction with positive denominator, so serialising is idempotent
 across a parse round trip.  Matrix entries are row-major rationals; a
 matrix with zero rows or columns has an empty entry list.  Vertices and
 arrows missing from a representation file get dimension zero and zero
-matrices.  The serialisers refuse a name that would not read back: an
-empty one, one holding whitespace or ``#``, and in a relation an arrow
-name holding ``.``.
+matrices.  An unknown name is a ParseError carrying the text of the
+quiver's name lookup.  The serialisers refuse a name that would not read
+back: one that is not a str, an empty one, one holding whitespace or
+``#``, and in a relation an arrow name holding ``.``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def _content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _at(lineno: int, lookup, name: str):
+    """lookup(name), a quiver's name lookup, with its QuivrepError re-raised
+    as a ParseError at `lineno`."""
+    try:
+        return lookup(name)
+    except QuivrepError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def _fraction(token: str, lineno: int) -> Fraction:
@@ -112,13 +122,12 @@ def _parse_relation(quiver: Quiver, lineno: int, tokens) -> Relation:
         names = path_text.split(".")
         if not all(names):
             raise ParseError(lineno, f"malformed path {path_text!r}")
-        for name in names:
-            if name not in quiver.arrow_index:
-                raise ParseError(lineno, f"unknown arrow {name!r} in relation")
         try:
             path = quiver.path(names)
         except NonComposable as exc:
             raise ParseError(lineno, f"non-composable path: {exc}") from None
+        except QuivrepError as exc:
+            raise ParseError(lineno, f"{exc} in relation") from None
         if coeff == 0:
             raise ParseError(lineno, "zero coefficient in relation")
         terms.append((sign * coeff, path))
@@ -134,9 +143,9 @@ def _parse_relation(quiver: Quiver, lineno: int, tokens) -> Relation:
 
 def _token(name: str, what: str) -> str:
     """`name` if it reads back as one whole token, else QuivrepError."""
-    if not name or "#" in name or any(c.isspace() for c in name):
+    if not isinstance(name, str) or not name or "#" in name or any(c.isspace() for c in name):
         raise QuivrepError(f"cannot write {what} name {name!r}: "
-                           "it is empty or holds whitespace or '#'")
+                           "it is not a str, is empty or holds whitespace or '#'")
     return name
 
 
@@ -185,8 +194,7 @@ def parse_rep(text: str, quiver: Quiver):
             if len(tokens) != 3:
                 raise ParseError(lineno, "dim line needs vertex and value")
             vertex, value = tokens[1], tokens[2]
-            if vertex not in quiver.vertex_index:
-                raise ParseError(lineno, f"unknown vertex {vertex!r}")
+            _at(lineno, quiver.vertex_position, vertex)
             if vertex in dims:
                 raise ParseError(lineno, f"duplicate dim for vertex {vertex!r}")
             try:
@@ -203,15 +211,13 @@ def parse_rep(text: str, quiver: Quiver):
         if len(tokens) < 4 or tokens[3] != ":":
             raise ParseError(lineno, "mat line needs: name rows cols : entries")
         name, rows_text, cols_text = tokens[0], tokens[1], tokens[2]
-        if name not in quiver.arrow_index:
-            raise ParseError(lineno, f"unknown arrow {name!r}")
+        arrow = _at(lineno, quiver.arrow, name)
         if name in mats:
             raise ParseError(lineno, f"duplicate matrix for arrow {name!r}")
         try:
             nrows, ncols = int(rows_text), int(cols_text)
         except ValueError:
             raise ParseError(lineno, "matrix shape must be two integers") from None
-        arrow = quiver.arrow(name)
         want = (dims.get(arrow.target, 0), dims.get(arrow.source, 0))
         if (nrows, ncols) != want:
             raise ParseError(
@@ -253,8 +259,6 @@ def parse_dimvec(text: str, quiver: Quiver) -> DimVector:
         if not eq:
             raise ParseError(1, f"expected vertex=value, got {chunk!r}")
         name = name.strip()
-        if name not in quiver.vertex_index:
-            raise ParseError(1, f"unknown vertex {name!r}")
         if name in values:
             raise ParseError(1, f"duplicate vertex {name!r}")
         try:

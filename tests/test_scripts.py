@@ -1,6 +1,7 @@
 """The runnable scripts under ``scripts/``, run as subprocesses."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -80,6 +81,35 @@ def test_regularity_survey_with_relations_prints_its_pinned_report():
     assert "surveyed 300 points (seed 7, with relations)" in proc.stdout
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest[:16] == "487496332624afc1"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--count", "-3"], "argument --count: must be an integer >= 1, got -3"),
+    (["--hereditary", "--count", "0"], "argument --count: must be an integer >= 1, got 0"),
+    (["--show-gaps", "-1"], "argument --show-gaps: must be an integer >= 0, got -1"),
+], ids=["negative-count", "zero-count", "negative-gaps"])
+def test_regularity_survey_refuses_a_bad_count_as_a_usage_error(args, message):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "regularity_survey.py"),
+                           *args], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_bench_pairs_refuses_an_unknown_claim_before_the_first_run(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: calls.append(args))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", ROOT, "--change", ROOT, "--workload", "survey",
+                          "--seeds", "1", "2", "--claim", "ops_per_sec", "--out", str(out)])
+    assert exc.value.code == 2
+    assert calls == [] and not out.exists()
 
 
 def test_bench_pairs_runs_one_survey_pair_and_writes_the_comparison(tmp_path):

@@ -1,10 +1,14 @@
-"""The value-type contract: construction, equality, hashing and immutability.
+"""The value-type contract: construction, equality, hashing, immutability,
+copying and pickling.
 
 These are the semantics a frozen dataclass gives; ``RegularityCertificate``,
-the one dataclass left, must also keep working with ``dataclasses.replace``.
+the one dataclass left, must also keep working with ``dataclasses.replace``
+and ``dataclasses.asdict``.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -16,11 +20,18 @@ from quivrep import (
     MatrixQ,
     QuivrepError,
     Quiver,
+    RegularityCertificate,
     Relation,
     make_rep,
     regularity_certificate,
 )
+from quivrep._value import Value
+from quivrep.family import GridRow
+from quivrep.geometry import StratumReport
+from quivrep.homology import Basis, ExtReport
+from quivrep.linalg import MatrixZ
 from quivrep.quiver import BoundQuiver
+from quivrep.rep import CocycleElement
 
 
 def _quiver():
@@ -150,3 +161,54 @@ def test_regularity_certificate_supports_dataclasses_replace():
     assert forged != cert
     assert forged.z_self_dim == cert.z_self_dim + 1
     assert dataclasses.replace(forged, z_self_dim=cert.z_self_dim) == cert
+
+
+def _value_types(cls=Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_types(sub)
+
+
+def _one_of_every_value_type():
+    """`_values()` and one instance of each value type it leaves out."""
+    values = _values()
+    q, d, m = values[0], values[1], values[5]
+    return values + [
+        Arrow("x", "b", "a"),
+        BoundQuiver.of(q, [values[3]]),
+        CocycleElement.from_flat(q, d, d, [1, 2]),
+        MatrixZ(1, 2, ((1, 2),), (3,)),
+        Basis((m.matrices[0],)),  # one field: a bare value, not a tuple, to attrgetter
+        ExtReport(hom=1, z_dim=2, b_dim=1, ext1=1, euler=0, ext2=None),
+        StratumReport(hom_to_probe=1, constrained_dim=2),
+        GridRow("x", "y", 1, 2, 2, 0, 1, 5, 0, 0),
+        _report(),
+    ]
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_every_value_type_copies_and_pickles_to_an_equal_value(clone):
+    values = _one_of_every_value_type()
+    assert {type(value) for value in values} == set(_value_types())
+    for value in values:
+        again = clone(value)
+        assert type(again) is type(value) and again == value, type(value).__name__
+
+
+def test_a_copied_representation_recomputes_its_integer_form():
+    m = _values()[5]
+    kept = m.integer_form
+    again = copy.copy(m)
+    assert again.integer_form == kept and again.integer_form is not kept
+
+
+def test_regularity_certificate_supports_dataclasses_asdict():
+    # asdict deep-copies every field, the DimVector included.
+    q = Quiver.build(("a", "b"), [("x", "b", "a")])
+    cert = regularity_certificate(make_rep(q, (1, 1), {"x": [[1]]}), BoundQuiver.of(q, []),
+                                  assert_gldim2=True)
+    fields = dataclasses.asdict(cert)
+    assert fields["dim_vector"] == cert.dim_vector
+    assert RegularityCertificate(**fields) == cert
