@@ -31,7 +31,7 @@ from itertools import chain
 from ._value import Value
 from .errors import NotAVarietyPoint
 from .linalg import EchelonBasis
-from .quiver import BoundQuiver, DimVector, expected_dim, is_triangular
+from .quiver import BoundQuiver, DimVector, is_triangular
 from .rep import CocycleElement, Representation, middle_term
 from .homology import cocycle_space, coboundary_space, ext_report, hom_dim
 
@@ -48,7 +48,7 @@ def regularity_certificate(m: Representation, bq: BoundQuiver, assert_gldim2: bo
     rows - rank of the cocycle system of (M, M), which is ext2_self.
     Without the hypotheses the verdict is NotApplicable; with them but
     Ext^2 != 0 only the bound is reported.  All homological numbers come
-    from one :func:`ext_report` of (M, M).
+    from one :func:`ext_report` of (M, M); expected = dim GL(d) - its euler, q(d).
     """
     if not m.is_variety_point(bq):
         raise NotAVarietyPoint("certificate requested at a non-variety point")
@@ -56,15 +56,14 @@ def regularity_certificate(m: Representation, bq: BoundQuiver, assert_gldim2: bo
 
     triangular = is_triangular(bq.quiver)
     rep = ext_report(m, m, bq, assert_gldim2)
-    expected = expected_dim(m.dim, bq)
+    gl = m.dim.glsum()
     verdict = "NotApplicable"
     if triangular and assert_gldim2:
         verdict = "CertifiedRegular" if rep.ext2 == 0 else "BoundOnly"
     return RegularityCertificate(
         dim_vector=m.dim, triangular=triangular, gldim2_asserted=assert_gldim2,
         end_dim=rep.hom, ext1_self=rep.ext1, ext2_self=rep.ext2,
-        z_self_dim=rep.z_dim, expected=expected,
-        orbit_dim=m.dim.glsum() - rep.hom, verdict=verdict)
+        z_self_dim=rep.z_dim, expected=gl - rep.euler, orbit_dim=gl - rep.hom, verdict=verdict)
 
 
 # -- constrained cocycles (rank-drop strata) ------------------------------

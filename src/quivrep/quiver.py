@@ -29,18 +29,25 @@ from .errors import MixedEndpoints, NonComposable, QuivrepError
 def same_quiver(quiver: "Quiver", what: str, *values) -> None:
     """The one check that values share a quiver, for the whole package:
     QuivrepError "<what> on a different quiver" unless every value's
-    ``.quiver`` equals `quiver`.  Internal: not in ``quivrep.__all__``."""
+    ``.quiver`` is or equals `quiver`.  Internal: not in ``quivrep.__all__``."""
     for value in values:
-        if value.quiver != quiver:
+        if value.quiver is not quiver and value.quiver != quiver:
             raise QuivrepError(f"{what} on a different quiver")
 
 
-def _sequence(names, what: str) -> tuple:
+def _sequence(names, what: str, length: int | None = None) -> tuple:
     """`names` as a tuple; QuivrepError for a bare str, which would otherwise
-    be read as a sequence of one-character names."""
+    be read as a sequence of one-character names, for a value that is not
+    iterable and, when `length` is given, for a tuple of another length."""
     if isinstance(names, str):
         raise QuivrepError(f"{what} must be a sequence, not the string {names!r}")
-    return tuple(names)
+    try:
+        items = tuple(names)
+    except TypeError:
+        raise QuivrepError(f"{what} must be a sequence, got {names!r}") from None
+    if length is not None and len(items) != length:
+        raise QuivrepError(f"{what} must have {length} entries, got {items!r}")
+    return items
 
 
 class Arrow(Value):
@@ -60,7 +67,7 @@ class Quiver(Value):
         """Build from vertex names and (name, source, target) triples; every
         name, endpoints included, must be a str."""
         verts = _sequence(vertices, "vertices")
-        arrow_objs = tuple([spec if isinstance(spec, Arrow) else Arrow(*_sequence(spec, "an arrow"))
+        arrow_objs = tuple([spec if isinstance(spec, Arrow) else Arrow(*_sequence(spec, "an arrow", 3))
                             for spec in _sequence(arrows, "arrows")])
         for name in verts + tuple([x for a in arrow_objs for x in (a.name, a.source, a.target)]):
             if not isinstance(name, str):
@@ -176,8 +183,12 @@ class Relation(Value):
         in first-occurrence order, and paths whose coefficients cancel are
         dropped; a relation with no term left is refused.
         """
+        terms = [_sequence(term, "a relation term", 2) for term in _sequence(terms, "relation terms")]
         if not terms:
             raise QuivrepError("relation must have at least one term")
+        for _, path in terms:
+            if not isinstance(path, Path):
+                raise QuivrepError(f"a relation term's path must be a Path, got {path!r}")
         same_quiver(terms[0][1].quiver, "relation path", *[path for _, path in terms])
         merged = {}  # arrow word -> (summed coefficient, first path)
         for coeff, path in terms:
@@ -220,7 +231,10 @@ class BoundQuiver(Value):
 
     @staticmethod
     def of(quiver: Quiver, relations: Sequence[Relation]) -> "BoundQuiver":
-        rels = tuple(relations)
+        rels = _sequence(relations, "relations")
+        for rel in rels:
+            if not isinstance(rel, Relation):
+                raise QuivrepError(f"a relation must be a Relation, got {rel!r}")
         same_quiver(quiver, "relation path", *[path for rel in rels for _, path in rel.terms])
         return BoundQuiver(quiver, rels)
 

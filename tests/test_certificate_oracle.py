@@ -3,16 +3,19 @@
 `Representation.is_variety_point` checks each relation on the kept integer
 form; `tests/util.py` keeps the Fraction evaluation it replaced as the
 oracle.  `euler_form` and `expected_dim` read the dimension entries through
-the vertex-index pairs `BoundQuiver.ends`; `oracle_euler_form` and
-`oracle_expected_dim` below are the formulas they replaced, kept verbatim,
-which look every endpoint up through the arrow and relation properties.
+the vertex-index pairs `Quiver.arrow_ends` and `BoundQuiver.relation_ends`;
+`oracle_euler_form` and `oracle_expected_dim` below are the formulas they
+replaced, kept verbatim, which look every endpoint up through the arrow and
+relation properties.  `regularity_certificate` takes its naive count from
+the Euler value of its own `ext_report`; `expected_dim` is its oracle.
 """
 
 from fractions import Fraction
 from random import Random
 
 from quivrep import (Arrow, BoundQuiver, DimVector, MatrixQ, Quiver, Relation, conjugate,
-                     euler_form, expected_dim, make_rep, random_invertible, random_matrix, tits_form)
+                     euler_form, expected_dim, make_rep, random_invertible, random_matrix,
+                     regularity_certificate, tits_form)
 from quivrep.linalg import inverse
 from util import (evaluate_relation, hitting_set_point, random_bound_quiver, random_dims,
                   random_quiver_with_cycles, random_relations, random_rep,
@@ -163,3 +166,24 @@ def test_euler_form_and_expected_dim_match_the_property_formulas():
         assert euler_form(zero, zero, bq) == expected_dim(zero, bq) == 0
     assert any(a.source == a.target for bq in cases for a in bq.quiver.arrows)
     assert sum(bool(bq.relations) for bq in cases) > 30
+
+
+def test_the_certificate_count_is_expected_dim():
+    """dim GL(d) - ext_report(M, M).euler is expected_dim(d): on variety
+    points of acyclic and cyclic bound quivers, every other one with
+    fractional coefficients, with and without the gl.dim 2 hypothesis."""
+    rng = Random(31401)
+    with_relations = 0
+    for i in range(90):
+        if i % 3:
+            bq = random_bound_quiver(rng, max_relations=3)
+        else:
+            quiver = random_quiver_with_cycles(rng)
+            bq = BoundQuiver.of(quiver, random_relations(rng, quiver, 3))
+        bq = with_rational_coefficients(bq, rng) if i % 2 else bq
+        m = with_rational_entries(hitting_set_point(rng, bq, random_dims(rng, bq.quiver)), rng)
+        for assert_gldim2 in (False, True):
+            cert = regularity_certificate(m, bq, assert_gldim2)
+            assert cert.expected == expected_dim(m.dim, bq)
+        with_relations += bool(bq.relations)
+    assert with_relations > 25

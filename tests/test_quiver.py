@@ -68,6 +68,39 @@ def test_relation_validation():
             Relation.of([(coeff, full)])
 
 
+MALFORMED = {
+    "build-four-names": (lambda: Quiver.build(("a", "b"), [("x", "a", "b", "c")]),
+                         "an arrow must have 3 entries, got ('x', 'a', 'b', 'c')"),
+    "build-two-names": (lambda: Quiver.build(("a", "b"), [("x", "a")]),
+                        "an arrow must have 3 entries, got ('x', 'a')"),
+    "build-int-arrow": (lambda: Quiver.build(("a", "b"), [5]), "an arrow must be a sequence, got 5"),
+    "build-int-arrows": (lambda: Quiver.build(("a", "b"), 5), "arrows must be a sequence, got 5"),
+    "relation-bare-str": (lambda: Relation.of("ab"),
+                          "relation terms must be a sequence, not the string 'ab'"),
+    "relation-none": (lambda: Relation.of(None), "relation terms must be a sequence, got None"),
+    "relation-one-entry": (lambda: Relation.of([(1,)]),
+                           "a relation term must have 2 entries, got (1,)"),
+    "relation-int-term": (lambda: Relation.of([1]), "a relation term must be a sequence, got 1"),
+    "relation-str-path": (lambda: Relation.of([(1, "x")]),
+                          "a relation term's path must be a Path, got 'x'"),
+    "bound-none": (lambda: BoundQuiver.of(a3(), None), "relations must be a sequence, got None"),
+    "bound-int": (lambda: BoundQuiver.of(a3(), [5]), "a relation must be a Relation, got 5"),
+    "bound-path": (lambda: BoundQuiver.of(a3(), [a3().path(["alpha", "beta"])]),
+                   "a relation must be a Relation, got Path("),
+    # The same gate reads every other sequence of names.
+    "build-none": (lambda: Quiver.build(None, []), "vertices must be a sequence, got None"),
+    "path-none": (lambda: a3().path(None), "arrow names must be a sequence, got None"),
+    "convex-none": (lambda: minimal_convex(a3(), None), "seed vertices must be a sequence, got None"),
+}
+
+
+@pytest.mark.parametrize("call, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_containers_are_quivrep_errors(call, message):
+    with pytest.raises(QuivrepError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
 def test_relation_merges_like_terms():
     q = kronecker()
     a1, a2 = q.path(["a1"]), q.path(["a2"])
