@@ -98,8 +98,8 @@ def _cmd_invariants(args) -> int:
     if args.rep2:
         print(f"euler(dimM,dimN) = {rep.euler}")
     else:
-        print(f"tits(dim M) = {tits_form(m.dim, bq)}")
-        print(f"expected_dim(dim M) = {expected_dim(m.dim, bq)}")
+        print(f"tits(dim M) = {rep.euler}")  # <dim M, dim M> = q(dim M)
+        print(f"expected_dim(dim M) = {m.dim.glsum() - rep.euler}")
     ext2 = "unknown (pass --assume-gldim2)" if rep.ext2 is None else rep.ext2
     print(f"ext2({pair}) = {ext2}")
     return 0

@@ -2,7 +2,10 @@
 
 Everything raised on bad input derives from :class:`QuivrepError`, so the
 command-line layer can map any library failure to a diagnostic plus a
-nonzero exit status without enumerating cases.
+nonzero exit status without enumerating cases.  Bad input is caller data:
+names, numbers, texts and containers.  A library object of the wrong type,
+such as None or a Quiver where a Representation goes, is a programming
+error, and Python's own exception stands there.
 """
 
 

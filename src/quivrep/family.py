@@ -33,8 +33,8 @@ from ._value import Value, count, rational
 from .errors import (DecompositionMismatch, InequalityViolated, InvalidLabel,
                      QuivrepError, WrongDimension)
 from .linalg import MAX_CELLS, hstack, rank, vstack
-from .quiver import (BoundQuiver, DimVector, Quiver, Relation, euler_form,
-                     expected_dim, minimal_convex, quiver_facts, tits_form, yes_no)
+from .quiver import (BoundQuiver, DimVector, Quiver, Relation, _sequence, euler_form,
+                     minimal_convex, quiver_facts, tits_form, yes_no)
 from .rep import Representation, direct_sum, make_rep, simple_rep
 from .homology import ext_report
 from .geometry import constrained_cocycles, direct_sum_stratum_dim
@@ -137,11 +137,12 @@ class Family:
     def forms(self) -> dict:
         """The form values of FamilyReport._FORMS, keyed by its field names."""
         bq, h1, h2, total = self.bound_quiver, self.h1, self.h2, self.total_dim
+        tits_total, glsum_total = tits_form(total, bq), total.glsum()
         return {"h1": h1, "h2": h2, "total": total,
                 "tits_h1": tits_form(h1, bq), "tits_h2": tits_form(h2, bq),
                 "euler_h1_h2": euler_form(h1, h2, bq), "euler_h2_h1": euler_form(h2, h1, bq),
-                "tits_total": tits_form(total, bq), "glsum_total": total.glsum(),
-                "expected_total": expected_dim(total, bq)}
+                "tits_total": tits_total, "glsum_total": glsum_total,
+                "expected_total": glsum_total - tits_total}
 
     # -- canonical representations ------------------------------------
 
@@ -347,9 +348,9 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
     bq = fam.bound_quiver
     probe = fam.simple_at_b()
     u_labels = [_normalize_label(x, fam.ab_arrow_names, "a-side arm")
-                for x in u_scalars] + list(fam.ab_arrow_names)
+                for x in _sequence(u_scalars, "u scalars")] + list(fam.ab_arrow_names)
     v_labels = [_normalize_label(x, fam.bc_arrow_names, "c-side arm")
-                for x in v_scalars] + list(fam.bc_arrow_names)
+                for x in _sequence(v_scalars, "v scalars")] + list(fam.bc_arrow_names)
     for axis, labels in (("u", u_labels), ("v", v_labels)):
         for i, label in enumerate(labels):
             if label in labels[:i]:
@@ -378,8 +379,8 @@ def verify_family(params: FamilyParams, u_scalars=(2, 3, 7), v_scalars=(2, 3, 5)
     min_hom_12 = min((r.hom_12 for r in rows), default=0)
     min_hom_21 = min((r.hom_21 for r in rows), default=0)
     stratum_dim = direct_sum_stratum_dim(
-        expected_dim(fam.h1, bq), expected_dim(fam.h2, bq), fam.h1, fam.h2,
-        min_hom_12, min_hom_21)
+        fam.h1.glsum() - fam.forms["tits_h1"], fam.h2.glsum() - fam.forms["tits_h2"],
+        fam.h1, fam.h2, min_hom_12, min_hom_21)
     report = FamilyReport(
         params=params, quiver_facts=quiver_facts(bq), **fam.forms, rows=tuple(rows),
         min_hom_12=min_hom_12, min_hom_21=min_hom_21, stratum_dim=stratum_dim,

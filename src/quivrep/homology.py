@@ -21,9 +21,7 @@ of the representations (``Representation.integer_form``, scale d_M for M):
 
 * :func:`intertwiner_rows` multiplies the N-part of every row by d_M and
   the M-part by d_N, so each row is d_M * d_N times its rational row;
-* :func:`cocycle_rows` scales each relation block by
-  d_U^(L-1) * d_V^(L-1) * lcm(coefficient denominators), L the longest
-  path of the relation, as :func:`_twisted_slots` sets out.
+* :func:`cocycle_rows` scales each relation block by :func:`_twisted_slots`.
 
 Ranks (:func:`hom_dim`, :func:`ext_report`), kernels (:func:`hom_basis`,
 :func:`cocycle_space`, and the Hom(M, N) vectors :func:`iso_probable` sums)
@@ -47,7 +45,6 @@ any extension field.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import lcm
 from operator import mul
 
 from ._value import Value, count
@@ -55,7 +52,7 @@ from .errors import QuivrepError
 from .linalg import (MAX_CELLS, MatrixQ, MatrixZ, image_basis, is_invertible, kernel_basis,
                      rank, seeded_rng, unflatten)
 from .quiver import BoundQuiver, Relation, euler_form, same_quiver
-from .rep import CocycleElement, Representation, _times
+from .rep import CocycleElement, Representation, _relation_terms, _times
 
 
 def _check_size(rows: int, cols: int, what: str) -> None:
@@ -153,31 +150,24 @@ def _twisted_slots(rel: Relation, u: Representation, v: Representation) -> tuple
     from V.  Each slot is (c, a_j, P, S) with int row tuples P and S from
     the integer forms of U and V and an int c, chosen so that the sum of
     c * P Z_{a_j} S over the slots is `scale` times the twisted evaluation.
-    With d_U and d_V the integer-form scales, L the longest path and D the
-    lcm of the coefficient denominators of the relation:
+    With d_U and d_V the integer-form scales and L, D and the terms read by
+    ``rep._relation_terms`` (the rule of the :mod:`quivrep.rep` docstring):
 
     * scale = d_U^(L-1) d_V^(L-1) D;
     * P is d_U^(j-1) times the prefix, S is d_V^(m-j) times the suffix;
     * c = coeff D d_U^(L-j) d_V^(L-1-m+j).
-
-    The prefixes of a term are one running product from the left, and its
-    suffixes one from the right; a_j is given by its arrow index.
     """
-    position = u.quiver.arrow_position
     d_u, u_mats = u.integer_form
     d_v, v_mats = v.integer_form
-    longest = max(len(path.arrow_names) for _, path in rel.terms)
-    den = lcm(*[coeff.denominator for coeff, _ in rel.terms])
+    longest, den, terms = _relation_terms(rel, u.quiver)
     slots = []
-    for coeff, path in rel.terms:
-        ks = [position(name) for name in path.arrow_names]
+    for c, ks in terms:
         m = len(ks)
-        prefixes = [_identity(u.matrices[ks[0]].rows)]
+        prefixes = [_identity(u.matrices[ks[0]].rows)]  # one running product from the left
         for k in ks[:-1]:
             prefixes.append(_times(prefixes[-1], u_mats[k], u.matrices[k].cols))
         suffix = _identity(v.matrices[ks[-1]].cols)
         width = len(suffix)
-        c = coeff.numerator * (den // coeff.denominator)
         for j in range(m - 1, -1, -1):  # right to left, so the suffix grows by one factor
             slots.append((c * d_u ** (longest - 1 - j) * d_v ** (longest - m + j),
                           ks[j], prefixes[j], suffix))

@@ -262,7 +262,7 @@ class DimVector(Value):
             for v, x in values.items():
                 entries[quiver.vertex_position(v)] = x
         else:
-            entries = tuple(values)
+            entries = _sequence(values, "dimension vector")
             if len(entries) != len(quiver.vertices):
                 raise QuivrepError("dimension vector length != number of vertices")
         return DimVector(quiver, tuple([count(x, "dimension vector entry", 0) for x in entries]))

@@ -16,12 +16,13 @@ every relation's twisted evaluation vanishes, and each such family glues U
 below V into a middle term W with arrow blocks [[U_a, Z_a], [0, V_a]].
 
 Every representation also has an integer form, computed on first use and
-kept: its arrow matrices times the lcm of all their denominators.  The
+kept: its arrow matrices times d, the lcm of all their denominators.  The
 linear systems of :mod:`quivrep.homology` are written from these integer
-forms, and :meth:`Representation.is_variety_point` checks relations on
-them: a path of length m is d^m times its value, so a relation vanishes
-when the sum of coeff * D * d^(L-m) * path does (L its longest path, D
-the lcm of its coefficient denominators).
+forms, and relations are evaluated on them by one rule: with L the longest
+path of a relation and D the lcm of its coefficient denominators, a path of
+length m is d^m times its value, so the sum of coeff * D * d^(L-m) * path
+is D * d^L times the relation's value.  :func:`_relation_terms` reads L, D
+and the terms of a relation, and :func:`_relation_value` is the one evaluator.
 """
 
 from __future__ import annotations
@@ -87,23 +88,33 @@ class Representation(Value):
     def is_variety_point(self, bq: BoundQuiver) -> bool:
         """Whether every relation vanishes, on the integer form (see above)."""
         same_quiver(bq.quiver, "representation", self)
-        d, mats = self.integer_form
-        position = self.quiver.arrow_position
-        for rel in bq.relations:
-            longest = max(len(path.arrow_names) for _, path in rel.terms)
-            den = lcm(*[coeff.denominator for coeff, _ in rel.terms])
-            coeffs, values = [], []
-            for coeff, path in rel.terms:
-                ks = [position(name) for name in path.arrow_names]
-                value = mats[ks[0]]
-                for k in ks[1:]:
-                    value = _times(value, mats[k], self.matrices[k].cols)
-                coeffs.append(coeff.numerator * (den // coeff.denominator) * d ** (longest - len(ks)))
-                values.append(value)
-            if any(sum(map(mul, coeffs, entries))
-                   for rows in zip(*values) for entries in zip(*rows)):
-                return False
-        return True
+        return not any(any(row) for rel in bq.relations for row in _relation_value(self, rel)[1])
+
+
+def _relation_terms(rel: Relation, quiver: Quiver) -> tuple:
+    """(L, D, terms) of a relation (see above), with each term read as the
+    int coeff * D and the arrow positions of its path, in written order."""
+    position = quiver.arrow_position
+    den = lcm(*[coeff.denominator for coeff, _ in rel.terms])
+    terms = [(coeff.numerator * (den // coeff.denominator),
+              [position(name) for name in path.arrow_names]) for coeff, path in rel.terms]
+    return max(len(ks) for _, ks in terms), den, terms
+
+
+def _relation_value(m: Representation, rel: Relation) -> tuple:
+    """The value of a relation at M as (scale, rows): int row tuples that are
+    scale = D * d^L times the value, from M's integer form (see above)."""
+    d, mats = m.integer_form
+    longest, den, terms = _relation_terms(rel, m.quiver)
+    coeffs, values = [], []
+    for c, ks in terms:
+        value = mats[ks[0]]
+        for k in ks[1:]:
+            value = _times(value, mats[k], m.matrices[k].cols)
+        coeffs.append(c * d ** (longest - len(ks)))
+        values.append(value)
+    return den * d ** longest, tuple([tuple([sum(map(mul, coeffs, entries)) for entries in zip(*rows)])
+                                      for rows in zip(*values)])
 
 
 def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -> Representation:
@@ -115,7 +126,9 @@ def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -
     """
     dim = dims if isinstance(dims, DimVector) else DimVector.of(quiver, dims)
     same_quiver(quiver, "dimension vector", dim)
-    given = {quiver.arrow_position(name): m for name, m in dict(mats or {}).items()}
+    if mats is not None and not isinstance(mats, Mapping):
+        raise QuivrepError(f"arrow matrices must be a mapping from arrow names, got {mats!r}")
+    given = {quiver.arrow_position(name): m for name, m in (mats or {}).items()}
     sizes = dim.entries
     entries = sum(sizes[s] * sizes[t] for s, t in quiver.arrow_ends)
     if entries > MAX_CELLS:
@@ -204,22 +217,17 @@ def twisted_evaluate(z: CocycleElement, rel: Relation,
 
     Sums coeff * U_{a_1} ... U_{a_{j-1}} Z_{a_j} V_{a_{j+1}} ... V_{a_m}
     over every term coeff * (a_1 ... a_m) and position j.  The result has
-    shape dim(U)_target x dim(V)_source of the relation.
+    shape dim(U)_target x dim(V)_source of the relation.  Block (0, 1) of a
+    product of blocks [[U_a, Z_a], [0, V_a]] is that sum over j, so this is
+    block (0, 1) of rel([[U, Z], [0, V]]), read from ``middle_term(z, u, v)``.
     """
     same_quiver(z.quiver, "twisted evaluation input", u, v, *[path for _, path in rel.terms])
     if u.dim != z.sub_dim or v.dim != z.quot_dim:
         raise ShapeMismatch("cocycle dimensions do not match u, v")
-    acc = MatrixQ.zeros(u.dim[rel.target], v.dim[rel.source])
-    for coeff, path in rel.terms:
-        names = path.arrow_names
-        for j, name in enumerate(names):
-            term = z.matrix(name)
-            for pre in reversed(names[:j]):
-                term = u.matrix(pre) @ term
-            for post in names[j + 1:]:
-                term = term @ v.matrix(post)
-            acc = acc + term.scale(coeff)
-    return acc
+    scale, rows = _relation_value(middle_term(z, u, v), rel)
+    top, left = u.dim[rel.target], u.dim[rel.source]
+    return MatrixQ(top, v.dim[rel.source],
+                   tuple([tuple([Fraction(x, scale) for x in row[left:]]) for row in rows[:top]]))
 
 
 def middle_term(z: CocycleElement, u: Representation, v: Representation) -> Representation:

@@ -35,8 +35,15 @@ from .errors import NonComposable, ParseError, QuivrepError
 from .quiver import BoundQuiver, DimVector, Quiver, Relation
 
 
+def _text(text: str) -> str:
+    """`text` itself; QuivrepError for anything that is not a str."""
+    if not isinstance(text, str):
+        raise QuivrepError(f"the text to parse must be a str, got {type(text).__name__}")
+    return text
+
+
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text(text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -251,7 +258,7 @@ def serialize_rep(m) -> str:
 def parse_dimvec(text: str, quiver: Quiver) -> DimVector:
     """Parse ``vertex=value`` comma lists; omitted vertices get zero."""
     values = {}
-    for chunk in text.split(","):
+    for chunk in _text(text).split(","):
         chunk = chunk.strip()
         if not chunk:
             continue

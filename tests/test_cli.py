@@ -2,11 +2,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from quivrep import parse_quiver, parse_rep
+from quivrep import (BoundQuiver, expected_dim, parse_quiver, parse_rep, serialize_quiver,
+                     serialize_rep, tits_form)
 from quivrep.cli import build_parser, main
+from util import (hitting_set_point, random_bound_quiver, random_dims, with_rational_coefficients,
+                  with_rational_entries)
 
 A2_TEXT = """\
 vertex v1
@@ -145,6 +149,29 @@ def test_invariants_self_mode(tmp_path, capsys):
     assert "tits(dim M) = 1" in out
     assert "expected_dim(dim M) = 1" in out
     assert "ext2(M,M) = unknown (pass --assume-gldim2)" in out
+
+
+def test_invariants_self_mode_forms_on_bound_quivers_with_relations(tmp_path, capsys):
+    """Self mode prints q(dim M) and dim GL - q(dim M) from the pair's Euler
+    value; on bound quivers with fractional relation coefficients they must
+    still be `tits_form` and `expected_dim`, relation term included."""
+    rng = Random(3201)
+    checked = with_relation_term = 0
+    while checked < 12:
+        bq = random_bound_quiver(rng, max_relations=3)
+        if not bq.relations:
+            continue
+        bq = with_rational_coefficients(bq, rng)
+        m = with_rational_entries(hitting_set_point(rng, bq, random_dims(rng, bq.quiver, 2)), rng)
+        q = write(tmp_path, f"q{checked}.quiver", serialize_quiver(bq))
+        r = write(tmp_path, f"m{checked}.rep", serialize_rep(m))
+        assert main(["invariants", "--quiver", q, "--rep", r]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"tits(dim M) = {tits_form(m.dim, bq)}" in out
+        assert f"expected_dim(dim M) = {expected_dim(m.dim, bq)}" in out
+        with_relation_term += tits_form(m.dim, bq) != tits_form(m.dim, BoundQuiver.of(bq.quiver, ()))
+        checked += 1
+    assert with_relation_term >= 3
 
 
 def test_invariants_pair_mode_with_gldim_flag(tmp_path, capsys):

@@ -9,13 +9,19 @@ from quivrep import (
     Arrow,
     BoundQuiver,
     DimVector,
+    FamilyParams,
     Quiver,
     Relation,
     euler_form,
     expected_dim,
     is_triangular,
+    make_rep,
     minimal_convex,
+    parse_dimvec,
+    parse_quiver,
+    parse_rep,
     tits_form,
+    verify_family,
 )
 from quivrep.errors import MixedEndpoints, NonComposable, QuivrepError
 
@@ -91,6 +97,24 @@ MALFORMED = {
     "build-none": (lambda: Quiver.build(None, []), "vertices must be a sequence, got None"),
     "path-none": (lambda: a3().path(None), "arrow names must be a sequence, got None"),
     "convex-none": (lambda: minimal_convex(a3(), None), "seed vertices must be a sequence, got None"),
+    "dimvector-none": (lambda: DimVector.of(a3(), None), "dimension vector must be a sequence, got None"),
+    "dimvector-int": (lambda: DimVector.of(a3(), 5), "dimension vector must be a sequence, got 5"),
+    "dimvector-bare-str": (lambda: DimVector.of(a3(), "111"),
+                           "dimension vector must be a sequence, not the string '111'"),
+    "make-rep-none-dims": (lambda: make_rep(a3(), None), "dimension vector must be a sequence, got None"),
+    "make-rep-str-mats": (lambda: make_rep(a3(), (1, 1, 1), "xy"),
+                          "arrow matrices must be a mapping from arrow names, got 'xy'"),
+    "make-rep-list-mats": (lambda: make_rep(a3(), (1, 1, 1), [1, 2]),
+                           "arrow matrices must be a mapping from arrow names, got [1, 2]"),
+    "verify-family-none": (lambda: verify_family(FamilyParams(1, 1, 1, 1, 1), u_scalars=None),
+                           "u scalars must be a sequence, got None"),
+    "verify-family-bare-str": (lambda: verify_family(FamilyParams(1, 1, 1, 1, 1), v_scalars="23"),
+                               "v scalars must be a sequence, not the string '23'"),
+    # A parser reads a str; anything else is refused before a line is read.
+    "parse-quiver-none": (lambda: parse_quiver(None), "the text to parse must be a str, got NoneType"),
+    "parse-quiver-bytes": (lambda: parse_quiver(b"vertex a\n"), "the text to parse must be a str, got bytes"),
+    "parse-rep-none": (lambda: parse_rep(None, a3()), "the text to parse must be a str, got NoneType"),
+    "parse-dimvec-none": (lambda: parse_dimvec(None, a3()), "the text to parse must be a str, got NoneType"),
 }
 
 

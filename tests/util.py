@@ -36,9 +36,10 @@ from quivrep import (
     seeded_rng,
 )
 from quivrep._value import count
-from quivrep.errors import QuivrepError
+from quivrep.errors import QuivrepError, ShapeMismatch
 from quivrep.homology import cocycle_system, intertwiner_matrix
 from quivrep.linalg import in_span, independent_subset, is_invertible, kernel_basis, rank
+from quivrep.quiver import same_quiver
 
 
 def random_acyclic_quiver(rng: Random, max_vertices: int = 5, max_arrows: int = 6) -> Quiver:
@@ -186,6 +187,34 @@ def evaluate_relation(m: Representation, rel: Relation) -> MatrixQ:
     for coeff, path in rel.terms:
         term = evaluate_path(m, path).scale(coeff)
         acc = term if acc is None else acc + term
+    return acc
+
+
+# -- factor by factor, the oracle of `twisted_evaluate` ------------------------
+#
+# `rep.twisted_evaluate` once multiplied out every slot of every term with
+# `MatrixQ` products.  It now reads block (0, 1) of the relation's integer
+# value at the middle term.  This is the old body, kept verbatim, to check it
+# against.
+
+
+def twisted_evaluate_by_factors(z: CocycleElement, rel: Relation,
+                                u: Representation, v: Representation) -> MatrixQ:
+    """Sum of coeff * U_{a_1} ... U_{a_{j-1}} Z_{a_j} V_{a_{j+1}} ... V_{a_m}
+    over every term and position j, by MatrixQ products."""
+    same_quiver(z.quiver, "twisted evaluation input", u, v, *[path for _, path in rel.terms])
+    if u.dim != z.sub_dim or v.dim != z.quot_dim:
+        raise ShapeMismatch("cocycle dimensions do not match u, v")
+    acc = MatrixQ.zeros(u.dim[rel.target], v.dim[rel.source])
+    for coeff, path in rel.terms:
+        names = path.arrow_names
+        for j, name in enumerate(names):
+            term = z.matrix(name)
+            for pre in reversed(names[:j]):
+                term = u.matrix(pre) @ term
+            for post in names[j + 1:]:
+                term = term @ v.matrix(post)
+            acc = acc + term.scale(coeff)
     return acc
 
 
