@@ -1,4 +1,4 @@
-"""The base class of the immutable value types, and the gate for caller numbers.
+"""The base class of the immutable value types, and the gate for caller numbers and flags.
 
 A value type names its fields, in constructor order, in a ``_fields``
 tuple (usually also its ``__slots__``).  :class:`Value` derives from that
@@ -96,3 +96,10 @@ def count(x, what: str, least: int) -> int:
     if isinstance(x, int) and x.__class__ is not bool and x >= least:
         return x
     raise QuivrepError(f"{what} must be an integer >= {least}, got {x!r}")
+
+
+def flag(x, what: str) -> bool:
+    """`x` if it is True or False; else QuivrepError (``"no"`` would read as true)."""
+    if x is True or x is False:
+        return x
+    raise QuivrepError(f"{what} must be True or False, got {x!r}")

@@ -29,8 +29,7 @@ from pathlib import Path
 
 from .errors import (DecompositionMismatch, InequalityViolated, ParseError,
                      QuivrepError)
-from .quiver import (classify_dimvector, euler_form, expected_dim, quiver_facts,
-                     tits_form, yes_no)
+from .quiver import classify_dimvector, euler_form, quiver_facts, tits_form, yes_no
 from .textio import (parse_dimvec, parse_quiver, parse_rep, serialize_quiver,
                      serialize_rep)
 
@@ -108,10 +107,11 @@ def _cmd_invariants(args) -> int:
 def _cmd_euler(args) -> int:
     bq = _load_quiver(args.quiver)
     d1 = parse_dimvec(args.dim, bq.quiver)
+    tits, glsum = tits_form(d1, bq), d1.glsum()
     print(f"d1 = {d1}")
-    print(f"tits(d1) = {tits_form(d1, bq)}")
-    print(f"glsum(d1) = {d1.glsum()}")
-    print(f"expected_dim(d1) = {expected_dim(d1, bq)}")
+    print(f"tits(d1) = {tits}")
+    print(f"glsum(d1) = {glsum}")
+    print(f"expected_dim(d1) = {glsum - tits}")
     if args.assume_tame_quasitilted:
         verdict = classify_dimvector(d1, bq)
         print(f"classification(d1) = {verdict}")

@@ -32,7 +32,7 @@ from functools import cached_property
 from ._value import Value, count, rational
 from .errors import (DecompositionMismatch, InequalityViolated, InvalidLabel,
                      QuivrepError, WrongDimension)
-from .linalg import MAX_CELLS, hstack, rank, vstack
+from .linalg import capped, hstack, rank, vstack
 from .quiver import (BoundQuiver, DimVector, Quiver, Relation, _sequence, euler_form,
                      minimal_convex, quiver_facts, tits_form, yes_no)
 from .rep import Representation, direct_sum, make_rep, simple_rep
@@ -49,9 +49,8 @@ class FamilyParams(Value):
         arms = [count(value, f"arm length {name}", 1)
                 for name, value in zip(self._fields, (p, q, r, s, t))]
         n = sum(arms)
-        if (n + 5) * (n + 1) > MAX_CELLS:  # the H' (+) H'' intertwiner system
-            raise QuivrepError(f"arm lengths summing to {n} give a {n + 5} x {n + 1} "
-                               f"intertwiner system, more than the cap of {MAX_CELLS} cells")
+        capped((n + 5) * (n + 1),  # the H' (+) H'' intertwiner system
+               "arm lengths summing to {} give a {} x {} intertwiner system", n, n + 5, n + 1)
         super().__init__(*arms)
 
     def __str__(self) -> str:

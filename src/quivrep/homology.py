@@ -34,8 +34,8 @@ the result is the row-major Kronecker form vec(A X B) = kron(A, B^T)
 vec(X) of each block, entry for entry, without forming the mostly-zero
 products with identity matrices.
 
-A writer refuses, with a :class:`QuivrepError`, a system of more than
-:data:`linalg.MAX_CELLS` cells before it allocates a row or an integer form.
+A writer asks the work cap's one gate, :func:`linalg.capped`, about its
+rows x cols before it allocates a row or an integer form.
 
 The dimensions computed here are field-independent: the systems have
 rational coefficients, so ranks over the rationals agree with ranks over
@@ -47,18 +47,11 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import mul
 
-from ._value import Value, count
-from .errors import QuivrepError
-from .linalg import (MAX_CELLS, MatrixQ, MatrixZ, image_basis, is_invertible, kernel_basis,
+from ._value import Value, count, flag
+from .linalg import (MatrixQ, MatrixZ, capped, image_basis, is_invertible, kernel_basis,
                      rank, seeded_rng, unflatten)
 from .quiver import BoundQuiver, Relation, euler_form, same_quiver
 from .rep import CocycleElement, Representation, _relation_terms, _times
-
-
-def _check_size(rows: int, cols: int, what: str) -> None:
-    if rows * cols > MAX_CELLS:
-        raise QuivrepError(f"the {what} system would have {rows} x {cols} cells, "
-                           f"more than the cap of {MAX_CELLS}")
 
 
 def intertwiner_rows(m: Representation, n: Representation) -> MatrixZ:
@@ -75,7 +68,8 @@ def intertwiner_rows(m: Representation, n: Representation) -> MatrixZ:
     m_dim, n_dim = m.dim.entries, n.dim.entries
     offsets = list(accumulate(map(mul, m_dim, n_dim), initial=0))
     total = offsets.pop()
-    _check_size(sum([n_dim[t] * m_dim[s] for s, t in ends]), total, "intertwiner")
+    height = sum([n_dim[t] * m_dim[s] for s, t in ends])
+    capped(height * total, "the intertwiner system would have {} x {} cells", height, total)
     d_m, m_mats = m.integer_form
     d_n, n_mats = n.integer_form
     rows = []
@@ -191,7 +185,8 @@ def cocycle_rows(v: Representation, u: Representation, bq: BoundQuiver) -> Matri
     offsets = list(accumulate([u_dim[t] * v_dim[s] for s, t in quiver.arrow_ends], initial=0))
     total = offsets.pop()
     ends = bq.relation_ends
-    _check_size(sum([u_dim[t] * v_dim[s] for s, t in ends]), total, "cocycle")
+    height = sum([u_dim[t] * v_dim[s] for s, t in ends])
+    capped(height * total, "the cocycle system would have {} x {} cells", height, total)
     rows, scales = [], []
     for rel, (source, target) in zip(bq.relations, ends):
         width = v_dim[source]
@@ -261,9 +256,10 @@ def ext_report(m: Representation, n: Representation, bq: BoundQuiver,
     ext2 = <dim M, dim N> - hom + ext1.  Expanding the Euler form shows
     that this is rows - rank of the cocycle system, the dimension of its
     cokernel, so it is never negative.  It is dim Ext^2(M, N) when the
-    algebra has global dimension at most two; the flag asserts that, and
-    nothing here checks it.
+    algebra has global dimension at most two; the flag, True or False,
+    asserts that, and nothing here checks it.
     """
+    flag(assert_gldim2, "assert_gldim2")
     delta = intertwiner_rows(m, n)
     b = rank(delta)
     hom = delta.cols - b

@@ -20,10 +20,11 @@ columns is eliminated as its transpose (rank A = rank A^T).
 scale first, as scaling single rows changes the column space.
 `EchelonBasis` keeps a growing span as integer rows and tests
 membership by reducing a vector with `_clear`.
-:func:`kernel_basis` refuses a basis of more than :data:`MAX_CELLS`
-entries.  Matrices are immutable; zero-by-n and n-by-zero shapes are
-first-class citizens because representations routinely carry them at
-unsupported vertices.
+:func:`capped` is the one gate of the work cap, :data:`MAX_CELLS`: the
+system writers, :func:`kernel_basis`, ``rep.make_rep`` and
+``family.FamilyParams`` ask it before they build anything.  Matrices are
+immutable; zero-by-n and n-by-zero shapes are first-class citizens
+because representations routinely carry them at unsupported vertices.
 
 Randomness: every random draw goes through :func:`seeded_rng`, which seeds
 the standard Mersenne Twister (`random.Random`) with the SHA-512 digest of
@@ -42,9 +43,17 @@ from math import gcd, lcm
 from ._value import Value, _set, count, rational
 from .errors import QuivrepError, ShapeMismatch
 
-# The most cells of a system, or entries of a kernel basis.  Eliminating a
-# system this size in pure Python already takes hours; no option lifts it.
+# The most cells of a system, or entries of a basis or of arrow matrices,
+# that a caller of `capped` may build.  Eliminating a system this size in
+# pure Python already takes hours; no option lifts it.
 MAX_CELLS = 10**7
+
+
+def capped(cells: int, text: str, *args) -> None:
+    """The one gate of the work cap: QuivrepError "<text>, more than the cap
+    of MAX_CELLS" if `cells` exceeds it; `text` is formatted only then."""
+    if cells > MAX_CELLS:
+        raise QuivrepError(text.format(*args) + f", more than the cap of {MAX_CELLS}")
 
 
 class MatrixQ(Value):
@@ -379,14 +388,12 @@ def kernel_basis(m: MatrixQ | MatrixZ):
     """Basis of the right null space {v : m v = 0}, as row vectors.
 
     One basis vector per free column, with a 1 in the free position; this
-    makes the basis canonical for a fixed input matrix.  A basis of more
-    than MAX_CELLS entries is refused before it is built.
+    makes the basis canonical for a fixed input matrix.  A basis beyond
+    the work cap is refused by :func:`capped` before it is built.
     """
     reduced, pivots = rref(m)
     nullity = m.cols - len(pivots)
-    if nullity * m.cols > MAX_CELLS:
-        raise QuivrepError(f"the kernel basis would have {nullity} x {m.cols} entries, "
-                           f"more than the cap of {MAX_CELLS}")
+    capped(nullity * m.cols, "the kernel basis would have {} x {} entries", nullity, m.cols)
     pivot_set = dict.fromkeys(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []

@@ -37,10 +37,13 @@ def same_quiver(quiver: "Quiver", what: str, *values) -> None:
 
 def _sequence(names, what: str, length: int | None = None) -> tuple:
     """`names` as a tuple; QuivrepError for a bare str, which would otherwise
-    be read as a sequence of one-character names, for a value that is not
-    iterable and, when `length` is given, for a tuple of another length."""
+    be read as a sequence of one-character names, for a set, whose order
+    follows the hash seed, for a value that is not iterable and, when
+    `length` is given, for a tuple of another length."""
     if isinstance(names, str):
         raise QuivrepError(f"{what} must be a sequence, not the string {names!r}")
+    if isinstance(names, (set, frozenset)):  # its repr order follows the hash seed too
+        raise QuivrepError(f"{what} must be a sequence, not a {type(names).__name__}")
     try:
         items = tuple(names)
     except TypeError:
@@ -361,7 +364,9 @@ def minimal_convex(quiver: Quiver, seed_vertices) -> tuple:
     members is again one, so one pass is convex and minimal.  Returns the
     vertices in declaration order.
     """
-    seeds = _sequence(seed_vertices, "seed vertices")
+    # A set of seeds is taken as it is: the hull comes back in declaration order.
+    seeds = (seed_vertices if isinstance(seed_vertices, (set, frozenset))
+             else _sequence(seed_vertices, "seed vertices"))
     for v in seeds:
         quiver.vertex_position(v)
     forward = {v: [] for v in quiver.vertices}

@@ -34,7 +34,7 @@ from operator import mul
 
 from ._value import Value, _set
 from .errors import QuivrepError, ShapeMismatch
-from .linalg import MAX_CELLS, MatrixQ, inverse, unflatten
+from .linalg import MatrixQ, capped, inverse, unflatten
 from .quiver import BoundQuiver, DimVector, Quiver, Relation, same_quiver
 
 
@@ -121,8 +121,8 @@ def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -
     """Convenience builder: dims as mapping/sequence, matrices by arrow name.
 
     Arrows not mentioned in `mats` get zero matrices of the right shape.
-    A DimVector of another quiver, or matrices that would hold more than
-    MAX_CELLS entries in all, are refused before any matrix is built.
+    A DimVector of another quiver, or matrices whose entries in all pass
+    the work cap (`linalg.capped`), are refused before any matrix is built.
     """
     dim = dims if isinstance(dims, DimVector) else DimVector.of(quiver, dims)
     same_quiver(quiver, "dimension vector", dim)
@@ -131,9 +131,7 @@ def make_rep(quiver: Quiver, dims, mats: Mapping[str, Sequence] | None = None) -
     given = {quiver.arrow_position(name): m for name, m in (mats or {}).items()}
     sizes = dim.entries
     entries = sum(sizes[s] * sizes[t] for s, t in quiver.arrow_ends)
-    if entries > MAX_CELLS:
-        raise QuivrepError(f"arrow matrices would hold {entries} entries, "
-                           f"more than the cap of {MAX_CELLS}")
+    capped(entries, "arrow matrices would hold {} entries", entries)
     out = []
     for k, (s, t) in enumerate(quiver.arrow_ends):
         if k not in given:

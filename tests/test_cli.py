@@ -336,6 +336,17 @@ def test_euler_subcommand(tmp_path, capsys):
     assert "euler(d2,d1) = 0" in out
 
 
+def test_euler_prints_its_forms_byte_for_byte_on_a_bound_quiver_with_relations(tmp_path, capsys):
+    # Both relations run c -> a, so q(d1) = 14 - 17 + 2 * 6 = 9 counts them;
+    # expected_dim(d1) is glsum(d1) - q(d1).
+    q = write(tmp_path, "rel.quiver", "vertex a\nvertex b\nvertex c\narrow x b a\narrow y c b\n"
+              "arrow z c a\narrow w c a\nrel 1/2*x.y - 3/4*z + 2*w\nrel 5/3*z - 1/6*x.y\n")
+    assert main(["euler", "--quiver", q, "--dim", "a=2,b=1,c=3", "--dim2", "b=1,c=2"]) == 0
+    assert capsys.readouterr().out == ("d1 = a=2,b=1,c=3\ntits(d1) = 9\nglsum(d1) = 14\n"
+                                       "expected_dim(d1) = 5\nd2 = a=0,b=1,c=2\ntits(d2) = 3\n"
+                                       "euler(d1,d2) = 4\neuler(d2,d1) = 3\n")
+
+
 def test_euler_classification_flag(tmp_path, capsys):
     kron = "vertex a\nvertex b\narrow f b a\narrow g b a\n"
     q = write(tmp_path, "kron.quiver", kron)

@@ -127,6 +127,20 @@ def test_ext2_via_euler_needs_flag():
     assert ext_report(s1, s3, bq, assert_gldim2=True).ext2 == 0
 
 
+@pytest.mark.parametrize("entry", ["ext_report", "regularity_certificate"])
+@pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
+def test_the_gldim2_flag_must_be_true_or_false(entry, value):
+    # "no" is truthy: it once certified a point and computed ext2.
+    q = Quiver.build(("a", "b"), [("x", "a", "b")])
+    bq = BoundQuiver.of(q, ())
+    m = make_rep(q, (1, 1), {"x": [[1]]})
+    call = {"ext_report": lambda: ext_report(m, m, bq, assert_gldim2=value),
+            "regularity_certificate": lambda: regularity_certificate(m, bq, value)}[entry]
+    with pytest.raises(QuivrepError) as exc:
+        call()
+    assert str(exc.value) == f"assert_gldim2 must be True or False, got {value!r}"
+
+
 def test_ext2_is_cokernel_dim_of_relation_system():
     # euler - hom + ext1 expands to rows - rank of the cocycle system, so the
     # reported ext2 is a cokernel dimension on every pair and never negative.
@@ -282,9 +296,9 @@ def test_the_cell_cap_admits_a_system_of_exactly_its_size(monkeypatch):
     p = make_rep(bq.quiver, (1, 1), {"al": [[1]]})
     system = intertwiner_matrix(p, p)
     cells = system.rows * system.cols
-    monkeypatch.setattr(homology, "MAX_CELLS", cells)
+    monkeypatch.setattr(linalg, "MAX_CELLS", cells)
     assert hom_dim(p, p) == 1
-    monkeypatch.setattr(homology, "MAX_CELLS", cells - 1)
+    monkeypatch.setattr(linalg, "MAX_CELLS", cells - 1)
     with pytest.raises(QuivrepError, match="1 x 2 cells"):
         hom_dim(p, p)
 

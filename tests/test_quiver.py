@@ -10,6 +10,7 @@ from quivrep import (
     BoundQuiver,
     DimVector,
     FamilyParams,
+    Path,
     Quiver,
     Relation,
     euler_form,
@@ -110,6 +111,28 @@ MALFORMED = {
                            "u scalars must be a sequence, got None"),
     "verify-family-bare-str": (lambda: verify_family(FamilyParams(1, 1, 1, 1, 1), v_scalars="23"),
                                "v scalars must be a sequence, not the string '23'"),
+    # A set has no order of its own: its iteration order, and its repr's,
+    # follows the hash seed, so it is refused and the text does not echo it.
+    "build-set-vertices": (lambda: Quiver.build({"x", "y", "z"}, []),
+                           "vertices must be a sequence, not a set"),
+    "build-frozenset-arrows": (lambda: Quiver.build(("a", "b"), frozenset({("x", "a", "b")})),
+                               "arrows must be a sequence, not a frozenset"),
+    "build-set-arrow": (lambda: Quiver.build(("a", "b"), [{"x", "a", "b"}]),
+                        "an arrow must be a sequence, not a set"),
+    "path-set": (lambda: Path.of(a3(), {"alpha", "beta"}), "arrow names must be a sequence, not a set"),
+    "relation-set": (lambda: Relation.of({(1, a3().path(["alpha"])), (2, a3().path(["beta"]))}),
+                     "relation terms must be a sequence, not a set"),
+    "relation-set-term": (lambda: Relation.of([{1, a3().path(["alpha"])}]),
+                          "a relation term must be a sequence, not a set"),
+    "bound-set": (lambda: BoundQuiver.of(a3(), {Relation.of([(1, a3().path(["alpha", "beta"]))])}),
+                  "relations must be a sequence, not a set"),
+    "dimvector-set": (lambda: DimVector.of(a3(), {3, 1, 2}),
+                      "dimension vector must be a sequence, not a set"),
+    "verify-family-set": (lambda: verify_family(FamilyParams(1, 1, 1, 1, 1), u_scalars={"2", "3", "7"}),
+                          "u scalars must be a sequence, not a set"),
+    "verify-family-frozenset": (lambda: verify_family(FamilyParams(1, 1, 1, 1, 1),
+                                                      v_scalars=frozenset({"2"})),
+                                "v scalars must be a sequence, not a frozenset"),
     # A parser reads a str; anything else is refused before a line is read.
     "parse-quiver-none": (lambda: parse_quiver(None), "the text to parse must be a str, got NoneType"),
     "parse-quiver-bytes": (lambda: parse_quiver(b"vertex a\n"), "the text to parse must be a str, got bytes"),
@@ -123,6 +146,14 @@ def test_malformed_containers_are_quivrep_errors(call, message):
     with pytest.raises(QuivrepError) as exc:
         call()
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("key", [key for key in MALFORMED if "set" in key])
+def test_a_set_is_refused_in_words_that_do_not_echo_it(key):
+    call, message = MALFORMED[key]
+    with pytest.raises(QuivrepError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_relation_merges_like_terms():
